@@ -8,8 +8,8 @@ precursor behaviour.  Supporting pieces: spatial density models over a
 study region, synthetic-catalog Monte Carlo, and an aftershock filter.
 """
 
-from .catalog import (AftershockPolicy, Catalog, EarthquakeEvent,
-                      ExcludedEvent, FilterResult, Prediction,
+from .catalog import (AftershockPolicy, Catalog, ExcludedEvent,
+                      FilterResult, Prediction,
                       filter_aftershocks, parse_earthquakes,
                       parse_predictions, serialize_earthquakes,
                       serialize_exclusions, serialize_predictions,
@@ -24,8 +24,7 @@ from .nulltest import (ChanceProbabilities, CMin, SignificanceReport,
                        clt_significance, count_successes,
                        enhancement_estimate, exact_poisson_binomial,
                        min_consistent_c, overlap_fraction,
-                       poisson_binomial_pmf, prediction_chance_prob,
-                       prediction_hits, significance_report)
+                       poisson_binomial_pmf, significance_report)
 from .precursor import (DelayData, DelayObservation, PrecursorResult,
                         extract_delays, precursor_test, tau_mean, tau_tail,
                         tau_var)
@@ -33,14 +32,14 @@ from .regions import (Circle, ConvexPolygon, Rectangle, Region,
                       contains_region, integrate, region_from_dict)
 from .spatial import (FitResult, KernelDensity, ParametricDensity,
                       SpatialDensity, density_from_dict, fit_kde,
-                      fit_parametric, load_density, sample, save_density)
+                      fit_parametric, load_density, save_density)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AftershockPolicy", "Catalog", "ChanceProbabilities", "Circle",
     "ClusteringParams", "CMin", "ConvexPolygon", "DelayData",
-    "DelayObservation", "EarthquakeEvent", "ExcludedEvent", "FilterResult",
+    "DelayObservation", "ExcludedEvent", "FilterResult",
     "FitError", "FitResult", "KernelDensity", "NullModel",
     "ParametricDensity", "PrecursorResult", "Prediction", "QuadratureError",
     "QuakevalError", "Rectangle", "Region", "SignificanceReport",
@@ -53,8 +52,8 @@ __all__ = [
     "integrate", "ks_uniform_distance", "load_density", "min_consistent_c",
     "null_zscores", "overlap_fraction", "parse_earthquakes",
     "parse_predictions", "poisson_binomial_pmf", "precursor_test",
-    "prediction_chance_prob", "prediction_hits", "region_from_dict",
-    "sample", "save_density", "serialize_earthquakes", "serialize_exclusions",
-    "serialize_predictions", "significance_report", "simulate_null_catalog",
+    "region_from_dict", "save_density", "serialize_earthquakes",
+    "serialize_exclusions", "serialize_predictions", "significance_report",
+    "simulate_null_catalog",
     "tau_mean", "tau_tail", "tau_var", "validate_predictions_against",
 ]

@@ -21,9 +21,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,16 +34,6 @@ from .regions import Circle, ConvexPolygon, Rectangle, Region, contains_region
 EARTHQUAKE_HEADER = ["time", "x", "y", "magnitude"]
 PREDICTION_HEADER = ["issue_time", "window_start", "window_end",
                      "cx", "cy", "radius", "min_magnitude"]
-
-
-@dataclass(frozen=True)
-class EarthquakeEvent:
-    """One catalog entry: origin time (days), position (km), magnitude."""
-
-    time: float
-    x: float
-    y: float
-    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -76,16 +67,10 @@ class Prediction:
 
 @dataclass(frozen=True)
 class AftershockPolicy:
-    """Windows for the aftershock filter.
-
-    ``magnitude_delta`` is reserved for a future graded criterion and is
-    not consulted by the current filter (strictly-larger magnitude is
-    always required).
-    """
+    """Windows for the aftershock filter (days and km)."""
 
     time_window: float
     distance_window: float
-    magnitude_delta: float = 0.0
 
     def __post_init__(self):
         if self.time_window < 0 or self.distance_window < 0:
@@ -93,52 +78,48 @@ class AftershockPolicy:
 
 
 class Catalog:
-    """An immutable, time-sorted earthquake catalog.
+    """An immutable, time-sorted earthquake catalog held as four columns.
 
     Args:
-        events: any iterable of EarthquakeEvent (sorted on construction,
-            ties keep their input order).
+        times: origin times, days.
+        xs, ys: epicentres, km.
+        magnitudes: event magnitudes.
         record_start: start of the observation record, days.
         record_end: end of the observation record, days.
         region: study region containing every epicentre.
 
-    The per-column numpy views (``times``, ``xs``, ``ys``,
-    ``magnitudes``) are read-only and safe to share between threads.
+    The columns are copied and sorted by time on construction (a stable
+    sort, so ties keep their input order).  An event named in a
+    validation error is numbered by its 0-based input position.  The
+    column arrays (``times``, ``xs``, ``ys``, ``magnitudes``) are
+    read-only and safe to share between threads.
     """
 
-    def __init__(self, events: Iterable[EarthquakeEvent], record_start: float,
+    def __init__(self, times, xs, ys, magnitudes, record_start: float,
                  record_end: float, region: Region):
-        events = tuple(events)
         if record_end <= record_start:
             raise ValidationError("record_end must exceed record_start")
-        order = sorted(range(len(events)), key=lambda i: events[i].time)
-        events = tuple(events[i] for i in order)
-        t = np.array([e.time for e in events], dtype=float)
-        x = np.array([e.x for e in events], dtype=float)
-        y = np.array([e.y for e in events], dtype=float)
-        m = np.array([e.magnitude for e in events], dtype=float)
-        if len(events):
+        t, x, y, m = (np.array(c, dtype=float) for c in (times, xs, ys, magnitudes))
+        if t.ndim != 1 or not x.shape == y.shape == m.shape == t.shape:
+            raise ValidationError("catalog columns must be 1-D and of equal length")
+        if len(t):
             if not (np.isfinite(t).all() and np.isfinite(x).all()
                     and np.isfinite(y).all() and np.isfinite(m).all()):
                 raise ValidationError("catalog fields must be finite")
-            if t[0] < record_start - 1e-9 or t[-1] > record_end + 1e-9:
+            if t.min() < record_start - 1e-9 or t.max() > record_end + 1e-9:
                 raise ValidationError("event times fall outside the record span")
             inside = region.contains(x, y)
             if not np.all(inside):
                 bad = int(np.flatnonzero(~inside)[0])
                 raise ValidationError(
                     f"event {bad} at ({x[bad]:g}, {y[bad]:g}) lies outside the study region")
-        for arr in (t, x, y, m):
+        order = np.argsort(t, kind="stable")
+        self._t, self._x, self._y, self._m = t[order], x[order], y[order], m[order]
+        for arr in (self._t, self._x, self._y, self._m):
             arr.flags.writeable = False
-        self._events = events
-        self._t, self._x, self._y, self._m = t, x, y, m
         self.record_start = float(record_start)
         self.record_end = float(record_end)
         self.region = region
-
-    @property
-    def events(self) -> tuple[EarthquakeEvent, ...]:
-        return self._events
 
     @property
     def times(self) -> np.ndarray:
@@ -162,14 +143,15 @@ class Catalog:
         return self.record_end - self.record_start
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._t)
 
     def count_at_or_above(self, magnitude: float) -> int:
         return int(np.count_nonzero(self._m >= magnitude))
 
     def subset(self, mask: np.ndarray) -> "Catalog":
-        keep = [e for e, k in zip(self._events, mask) if k]
-        return Catalog(keep, self.record_start, self.record_end, self.region)
+        mask = np.asarray(mask, dtype=bool)
+        return Catalog(self._t[mask], self._x[mask], self._y[mask], self._m[mask],
+                       self.record_start, self.record_end, self.region)
 
     def __repr__(self):
         return (f"Catalog({len(self)} events, record [{self.record_start:g}, "
@@ -178,9 +160,12 @@ class Catalog:
 
 def _parse_float(text: str, row: int, column: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ValidationError(f"row {row}: {column} value {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"row {row}: {column} value {text!r} is not finite")
+    return value
 
 
 def _open_text(source) -> io.TextIOBase:
@@ -202,9 +187,10 @@ def parse_earthquakes(source, region: Region | None = None,
         record_end: record end, days.  Defaults to the last event time.
 
     Raises:
-        ValidationError: missing or wrong header, non-numeric field,
-            negative time, or an epicentre outside the declared region.
-            The message names the offending 1-based data row.
+        ValidationError: missing or wrong header, non-numeric or
+            non-finite field, negative time, or an epicentre outside the
+            declared region.  The message names the offending 1-based
+            data row.
     """
     fh = _open_text(source)
     try:
@@ -213,37 +199,41 @@ def parse_earthquakes(source, region: Region | None = None,
         if header is None or [h.strip() for h in header] != EARTHQUAKE_HEADER:
             raise ValidationError(
                 f"earthquake CSV must start with header {','.join(EARTHQUAKE_HEADER)!r}")
-        events = []
+        rows: list[int] = []
+        values: list[list[float]] = []
         for i, rowvals in enumerate(reader, start=1):
             if not rowvals or all(not c.strip() for c in rowvals):
                 continue
             if len(rowvals) != 4:
                 raise ValidationError(f"row {i}: expected 4 fields, got {len(rowvals)}")
-            t = _parse_float(rowvals[0], i, "time")
-            x = _parse_float(rowvals[1], i, "x")
-            y = _parse_float(rowvals[2], i, "y")
-            m = _parse_float(rowvals[3], i, "magnitude")
-            if t < 0:
-                raise ValidationError(f"row {i}: negative time {t:g}")
-            events.append(EarthquakeEvent(t, x, y, m))
+            vals = [_parse_float(v, i, c) for v, c in zip(rowvals, EARTHQUAKE_HEADER)]
+            if vals[0] < 0:
+                raise ValidationError(f"row {i}: negative time {vals[0]:g}")
+            rows.append(i)
+            values.append(vals)
     finally:
         if isinstance(source, (str, Path)):
             fh.close()
+    t, x, y, m = np.array(values, dtype=float).reshape(-1, 4).T
     if region is None:
-        region = _bounding_region(events)
+        region = _bounding_region(x, y)
+    else:
+        outside = np.flatnonzero(~np.asarray(region.contains(x, y), bool))
+        if len(outside):
+            k = int(outside[0])
+            raise ValidationError(f"row {rows[k]}: epicentre ({x[k]:g}, {y[k]:g}) "
+                                  "lies outside the study region")
     if record_end is None:
-        record_end = max((e.time for e in events), default=record_start + 1.0)
+        record_end = float(t.max()) if len(t) else record_start + 1.0
         if record_end <= record_start:
             record_end = record_start + 1.0
-    return Catalog(events, record_start, record_end, region)
+    return Catalog(t, x, y, m, record_start, record_end, region)
 
 
-def _bounding_region(events: Sequence[EarthquakeEvent]) -> Rectangle:
-    if not events:
+def _bounding_region(xs: np.ndarray, ys: np.ndarray) -> Rectangle:
+    if not len(xs):
         return Rectangle(0.0, 1.0, 0.0, 1.0)
-    xs = [e.x for e in events]
-    ys = [e.y for e in events]
-    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    x0, x1, y0, y1 = float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
     if x1 - x0 < 1e-9:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 - y0 < 1e-9:
@@ -256,9 +246,8 @@ def serialize_earthquakes(catalog: Catalog, destination=None) -> str | None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(EARTHQUAKE_HEADER)
-    for e in catalog.events:
-        writer.writerow([repr(float(e.time)), repr(float(e.x)),
-                         repr(float(e.y)), repr(float(e.magnitude))])
+    for row in zip(catalog.times, catalog.xs, catalog.ys, catalog.magnitudes):
+        writer.writerow([repr(float(v)) for v in row])
     text = buf.getvalue()
     if destination is None:
         return text
@@ -273,13 +262,24 @@ def parse_predictions(source, polygons=None) -> list[Prediction]:
         source: path or open text handle for the CSV.
         polygons: path to a JSON sidecar, or an already-loaded mapping of
             row index to vertex list, for rows whose cx/cy/radius are empty.
+
+    Raises:
+        ValidationError: a bad CSV row (named by its 1-based number) or a
+            malformed sidecar (named by its path).
     """
     poly_map: dict[int, ConvexPolygon] = {}
     if polygons is not None:
-        if isinstance(polygons, (str, Path)):
-            polygons = json.loads(Path(polygons).read_text(encoding="utf-8"))
-        for key, verts in polygons.items():
-            poly_map[int(key)] = ConvexPolygon(verts)
+        is_path = isinstance(polygons, (str, Path))
+        name = str(polygons) if is_path else "polygon sidecar"
+        try:
+            if is_path:
+                polygons = json.loads(Path(polygons).read_text(encoding="utf-8"))
+            if not isinstance(polygons, dict):
+                raise ValidationError("expected an object mapping row indices to vertices")
+            for key, verts in polygons.items():
+                poly_map[int(key)] = ConvexPolygon(verts)
+        except (TypeError, ValueError) as exc:  # includes JSON and ValidationError
+            raise ValidationError(f"{name}: {exc}") from None
 
     fh = _open_text(source)
     try:
@@ -370,10 +370,14 @@ def validate_predictions_against(predictions: Sequence[Prediction],
 
 @dataclass(frozen=True)
 class ExcludedEvent:
-    """Audit entry for one filtered event."""
+    """Audit entry for one filtered event: its index in the input
+    catalog, its fields, and the index of the mainshock that shadowed it."""
 
     index: int
-    event: EarthquakeEvent
+    time: float
+    x: float
+    y: float
+    magnitude: float
     excluded_by: int
 
 
@@ -416,15 +420,16 @@ def filter_aftershocks(catalog: Catalog, policy: AftershockPolicy) -> FilterResu
             shadow = bigger & (d2 <= policy.distance_window ** 2)
             if np.any(shadow):
                 culprit = kept_idx[lo + int(np.flatnonzero(shadow)[0])]
-                excluded.append(ExcludedEvent(i, catalog.events[i], culprit))
+                excluded.append(ExcludedEvent(i, float(t[i]), float(x[i]),
+                                              float(y[i]), float(m[i]), culprit))
                 continue
         kept_t[n_kept], kept_x[n_kept] = t[i], x[i]
         kept_y[n_kept], kept_m[n_kept] = y[i], m[i]
         kept_idx.append(i)
         n_kept += 1
-    kept = Catalog([catalog.events[i] for i in kept_idx], catalog.record_start,
-                   catalog.record_end, catalog.region)
-    return FilterResult(kept, tuple(excluded))
+    keep = np.zeros(len(catalog), dtype=bool)
+    keep[kept_idx] = True
+    return FilterResult(catalog.subset(keep), tuple(excluded))
 
 
 def serialize_exclusions(result: FilterResult, destination=None) -> str | None:
@@ -433,9 +438,8 @@ def serialize_exclusions(result: FilterResult, destination=None) -> str | None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["index", "time", "x", "y", "magnitude", "excluded_by"])
     for rec in result.excluded:
-        e = rec.event
-        writer.writerow([rec.index, repr(float(e.time)), repr(float(e.x)),
-                         repr(float(e.y)), repr(float(e.magnitude)),
+        writer.writerow([rec.index, repr(float(rec.time)), repr(float(rec.x)),
+                         repr(float(rec.y)), repr(float(rec.magnitude)),
                          rec.excluded_by])
     text = buf.getvalue()
     if destination is None:

@@ -27,9 +27,7 @@ from .catalog import (AftershockPolicy, Catalog, filter_aftershocks,
                       serialize_earthquakes, serialize_exclusions)
 from .errors import QuakevalError, ValidationError
 from .mc import ClusteringParams, NullModel, empirical_significance, null_zscores
-from .nulltest import (chance_probabilities, count_successes,
-                       enhancement_estimate, min_consistent_c,
-                       significance_report)
+from .nulltest import significance_report
 from .precursor import extract_delays, precursor_test
 from .regions import Rectangle
 from .spatial import (ParametricDensity, fit_kde, fit_parametric, load_density,
@@ -50,6 +48,11 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
+
+
+# The enhancement report is this projection of the significance report.
+_ENHANCEMENT_KEYS = ("n_predictions", "n_observed", "mu", "c_hat", "c_min",
+                     "c_min_capped", "c_min_residual", "alpha")
 
 
 def _render(payload: dict) -> str:
@@ -73,10 +76,6 @@ def _load_catalog(args) -> Catalog:
     return parse_earthquakes(args.earthquakes, region=region,
                              record_start=args.record_start,
                              record_end=args.record_end)
-
-
-def _load_predictions(args):
-    return parse_predictions(args.predictions, polygons=args.polygons)
 
 
 def _resolve_density(spec: str, catalog: Catalog):
@@ -144,44 +143,32 @@ def _cmd_fit_density(args) -> dict:
     return {"command": "fit-density", "config": config, **body}
 
 
-def _cmd_significance(args) -> dict:
+def _scoring_inputs(args):
+    """Catalog, predictions and density of a significance-style command."""
     catalog = _load_catalog(args)
-    predictions = _load_predictions(args)
-    density = _resolve_density(args.density, catalog)
-    report = significance_report(catalog, predictions, density,
-                                 alpha=args.alpha, exact=args.exact)
+    predictions = parse_predictions(args.predictions, polygons=args.polygons)
+    return catalog, predictions, _resolve_density(args.density, catalog)
+
+
+def _cmd_significance(args) -> dict:
+    report = significance_report(*_scoring_inputs(args), alpha=args.alpha,
+                                 exact=args.exact).to_dict()
     config = {"earthquakes": args.earthquakes, "predictions": args.predictions,
               "density": args.density, "alpha": args.alpha, "exact": args.exact}
-    return {"command": "significance", "config": config, **report.to_dict()}
+    return {"command": "significance", "config": config, **report}
 
 
 def _cmd_enhancement(args) -> dict:
-    catalog = _load_catalog(args)
-    predictions = _load_predictions(args)
-    density = _resolve_density(args.density, catalog)
-    cp = chance_probabilities(predictions, density, catalog)
-    n_obs = count_successes(catalog, predictions)
-    body = {
-        "n_predictions": cp.m,
-        "n_observed": n_obs,
-        "mu": cp.mu,
-        "c_hat": enhancement_estimate(cp, n_obs),
-    }
-    if n_obs >= 1:
-        cmin = min_consistent_c(cp, n_obs, args.alpha)
-        body.update({"c_min": cmin.value, "c_min_capped": cmin.capped,
-                     "c_min_residual": cmin.residual})
-    else:
-        body.update({"c_min": None, "c_min_capped": False, "c_min_residual": None})
-    body["alpha"] = args.alpha
+    report = significance_report(*_scoring_inputs(args), alpha=args.alpha).to_dict()
     config = {"earthquakes": args.earthquakes, "predictions": args.predictions,
               "density": args.density, "alpha": args.alpha}
-    return {"command": "enhancement", "config": config, **body}
+    return {"command": "enhancement", "config": config,
+            **{key: report[key] for key in _ENHANCEMENT_KEYS}}
 
 
 def _cmd_precursor(args) -> dict:
     catalog = _load_catalog(args)
-    predictions = _load_predictions(args)
+    predictions = parse_predictions(args.predictions, polygons=args.polygons)
     data = extract_delays(predictions, catalog)
     result = precursor_test(data.observations, data.n_events, data.span,
                             threshold=args.threshold)

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import Catalog, EarthquakeEvent, Prediction
+from .catalog import Catalog, Prediction
 from .errors import QuakevalError, ValidationError
-from .nulltest import chance_probability, poisson_binomial_pmf
+from .nulltest import (alarm_groups, alarm_probabilities, count_hits,
+                       poisson_binomial_pmf)
 from .precursor import tau_mean, tau_var
 from .spatial import SpatialDensity
 
@@ -86,6 +87,9 @@ class NullModel:
 
 def _offset_into_region(base: np.ndarray, spread: float, region,
                         rng: np.random.Generator) -> np.ndarray:
+    # Not regions.sample_inside: a rejected follower is redrawn around its
+    # own parent and keeps its slot, where sample_inside fills the slots
+    # in order with whichever candidates land inside.
     out = np.empty_like(base)
     todo = np.arange(len(base))
     for _ in range(100_000):
@@ -130,10 +134,8 @@ def simulate_null_catalog(model: NullModel, replicate: int = 0) -> Catalog:
     """Build one synthetic catalog as a full Catalog object."""
     rng = child_rng(model.seed, replicate)
     times, xy, mags, _ = _simulate_arrays(model, rng)
-    events = [EarthquakeEvent(float(t), float(x), float(y), float(mg))
-              for t, (x, y), mg in zip(times, xy, mags)]
-    return Catalog(events, record_start=0.0, record_end=model.span,
-                   region=model.spatial.region)
+    return Catalog(times, xy[:, 0], xy[:, 1], mags, record_start=0.0,
+                   record_end=model.span, region=model.spatial.region)
 
 
 def ks_uniform_distance(samples) -> float:
@@ -241,29 +243,13 @@ def empirical_significance(model: NullModel, predictions: list[Prediction],
                 f"prediction {j}: window [{p.window_start:g}, {p.window_end:g}] "
                 f"is outside the simulated record [0, {model.span:g}]")
 
-    mass_cache: dict = {}
-    probs = np.empty(len(predictions))
-    for j, p in enumerate(predictions):
-        mass = mass_cache.get(p.region)
-        if mass is None:
-            mass = model.spatial.integrate(p.region)
-            mass_cache[p.region] = mass
-        probs[j] = chance_probability(mass, p.duration, model.span, model.n_events)
-
+    probs = alarm_probabilities(predictions, model.spatial, model.span,
+                                model.n_events)
     pmf = poisson_binomial_pmf(probs)
     tails = np.zeros(len(pmf) + 1)
     tails[:-1] = np.cumsum(pmf[::-1])[::-1]
 
-    groups = []
-    by_key: dict = {}
-    for j, p in enumerate(predictions):
-        by_key.setdefault((p.region, p.min_magnitude), []).append(j)
-    for (region, min_mag), idx in by_key.items():
-        starts = np.array([predictions[j].window_start for j in idx])
-        ends = np.array([predictions[j].window_end for j in idx])
-        groups.append((region, min_mag, starts, ends))
-
-    full_region = model.spatial.region
+    groups = alarm_groups(predictions)
     counts = np.empty(replicates, dtype=int)
     levels = np.empty(replicates)
     for r in range(replicates):
@@ -272,18 +258,8 @@ def empirical_significance(model: NullModel, predictions: list[Prediction],
         if exclude_injected and injected.any():
             keep = ~injected
             times, xy, mags = times[keep], xy[keep], mags[keep]
-        hits = 0
-        for region, min_mag, starts, ends in groups:
-            mask = mags >= min_mag
-            if region != full_region:
-                mask = mask & np.asarray(
-                    region.contains(xy[:, 0], xy[:, 1]), dtype=bool)
-            ev = times[mask]
-            lo = np.searchsorted(ev, starts, side="left")
-            hi = np.searchsorted(ev, ends, side="right")
-            hits += int(np.count_nonzero(hi > lo))
-        counts[r] = hits
-        levels[r] = tails[hits]
+        counts[r] = count_hits(groups, times, xy[:, 0], xy[:, 1], mags)
+        levels[r] = tails[counts[r]]
 
     summary = SimulationSummary.from_samples("exact_significance", levels,
                                              uniform_ks=True)
@@ -381,10 +357,11 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
     events correlate the delays and visibly inflate the z variance, so
     that mode is a diagnostic, not a calibration target.
 
-    ``suppression_window`` emulates alarm deadtime: signal times are
-    redrawn until no event falls within that window before the signal.
-    Suppressed signals cluster in the stretch before an upcoming event,
-    which drags z negative.
+    ``suppression_window`` emulates alarm deadtime: no signal may fall
+    within that window after an event, and signal times are drawn
+    uniformly from the rest of the record by inverse CDF (see
+    ``_suppressed_times``).  Suppressed signals cluster in the stretch
+    before an upcoming event, which drags z negative.
     """
     if m < 1:
         raise ValidationError("need at least one signal per replicate")

@@ -36,42 +36,53 @@ from .errors import ValidationError
 from .spatial import SpatialDensity
 
 
-def chance_probability(spatial_mass: float, duration: float, span: float,
-                       n_events: int) -> float:
+def chance_probability(spatial_mass, duration, span: float, n_events):
     """P(at least one of n uniform events lands in the window) under the null.
 
     ``spatial_mass`` is the density mass of the prediction's region,
-    ``duration`` the window length, ``span`` the record length.
+    ``duration`` the window length, ``span`` the record length and
+    ``n_events`` the background count.  Mass, duration and count may be
+    arrays (broadcast together, one entry per prediction); scalars in
+    give a float out.
     """
     if span <= 0:
         raise ValidationError("record span must be positive")
-    if not 0.0 <= spatial_mass <= 1.0 + 1e-9:
-        raise ValidationError(f"spatial mass {spatial_mass:g} is outside [0, 1]")
-    if duration < 0:
+    s = np.asarray(spatial_mass, dtype=float)
+    d = np.asarray(duration, dtype=float)
+    n = np.asarray(n_events)
+    bad = ~((s >= 0.0) & (s <= 1.0 + 1e-9))
+    if bad.any():
+        raise ValidationError(f"spatial mass {s[bad].flat[0]:g} is outside [0, 1]")
+    if (d < 0).any():
         raise ValidationError("window duration must be >= 0")
-    if duration > span * (1 + 1e-12):
+    long = d > span * (1 + 1e-12)
+    if long.any():
         raise ValidationError(
-            f"window duration {duration:g} exceeds the record span {span:g}")
-    if n_events < 1:
+            f"window duration {d[long].flat[0]:g} exceeds the record span {span:g}")
+    if (n < 1).any():
         raise ValidationError("need at least one background event")
-    q = min(spatial_mass, 1.0) * min(duration / span, 1.0)
-    if q >= 1.0:
-        return 1.0
-    if q <= 0.0:
-        return 0.0
-    return float(-np.expm1(n_events * np.log1p(-q)))
+    q = np.minimum(s, 1.0) * np.minimum(d / span, 1.0)
+    with np.errstate(divide="ignore"):
+        p = -np.expm1(n * np.log1p(-q))
+    out = np.where(q >= 1.0, 1.0, np.where(q <= 0.0, 0.0, p))
+    return out if out.ndim else float(out)
 
 
-def prediction_chance_prob(prediction: Prediction, density: SpatialDensity,
-                           catalog: Catalog) -> float:
-    """Chance probability of one prediction against a catalog's background."""
-    n_bg = catalog.count_at_or_above(prediction.min_magnitude)
-    if n_bg == 0:
-        raise ValidationError(
-            f"no catalog events at or above magnitude {prediction.min_magnitude:g}; "
-            "the null model is undefined")
-    s = density.integrate(prediction.region)
-    return chance_probability(s, prediction.duration, catalog.span, n_bg)
+def alarm_probabilities(predictions: list[Prediction], density: SpatialDensity,
+                        span: float, n_events) -> np.ndarray:
+    """Chance probability of every prediction, one entry each.
+
+    Each distinct alarm region is integrated under ``density`` once and
+    its mass shared by every prediction over that region.  ``n_events``
+    is the background count, a scalar or one count per prediction.
+    """
+    masses: dict = {}
+    for p in predictions:
+        if p.region not in masses:
+            masses[p.region] = density.integrate(p.region)
+    return chance_probability(np.array([masses[p.region] for p in predictions]),
+                              np.array([p.duration for p in predictions]),
+                              span, n_events)
 
 
 @dataclass(frozen=True)
@@ -109,30 +120,56 @@ class ChanceProbabilities:
 
 def chance_probabilities(predictions: list[Prediction], density: SpatialDensity,
                          catalog: Catalog) -> ChanceProbabilities:
+    """Chance probabilities against a catalog's background.
+
+    A prediction's background count N is the number of catalog events
+    at or above its magnitude threshold.
+    """
     if not predictions:
         raise ValidationError("need at least one prediction")
-    return ChanceProbabilities(np.array(
-        [prediction_chance_prob(p, density, catalog) for p in predictions]))
+    thresholds = np.array([p.min_magnitude for p in predictions])
+    mags = np.sort(catalog.magnitudes)
+    n_bg = len(mags) - np.searchsorted(mags, thresholds, side="left")
+    if (n_bg == 0).any():
+        raise ValidationError(
+            f"no catalog events at or above magnitude {thresholds[n_bg == 0][0]:g}; "
+            "the null model is undefined")
+    return ChanceProbabilities(
+        alarm_probabilities(predictions, density, catalog.span, n_bg))
 
 
-def prediction_hits(prediction: Prediction, catalog: Catalog) -> bool:
-    """True when a qualifying event falls in the prediction's window and region."""
-    times = catalog.times
-    lo = int(np.searchsorted(times, prediction.window_start, side="left"))
-    hi = int(np.searchsorted(times, prediction.window_end, side="right"))
-    if hi <= lo:
-        return False
-    mags = catalog.magnitudes[lo:hi]
-    ok = mags >= prediction.min_magnitude
-    if not ok.any():
-        return False
-    xs = catalog.xs[lo:hi][ok]
-    ys = catalog.ys[lo:hi][ok]
-    return bool(np.any(prediction.region.contains(xs, ys)))
+def alarm_groups(predictions: list[Prediction]) -> list[tuple]:
+    """Predictions grouped on (region, min_magnitude), as (region,
+    min_magnitude, window_starts, window_ends) tuples for ``count_hits``."""
+    by_key: dict[tuple, list[Prediction]] = {}
+    for p in predictions:
+        by_key.setdefault((p.region, p.min_magnitude), []).append(p)
+    return [(region, min_mag, np.array([p.window_start for p in group]),
+             np.array([p.window_end for p in group]))
+            for (region, min_mag), group in by_key.items()]
+
+
+def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
+               ys: np.ndarray, mags: np.ndarray) -> int:
+    """Number of predictions with a qualifying event in window and region.
+
+    ``groups`` comes from ``alarm_groups``; the event columns must be
+    sorted by time.  Windows are inclusive at both ends and magnitudes
+    qualify at the threshold.
+    """
+    hits = 0
+    for region, min_mag, starts, ends in groups:
+        ev = times[(mags >= min_mag) & region.contains(xs, ys)]
+        lo = np.searchsorted(ev, starts, side="left")
+        hi = np.searchsorted(ev, ends, side="right")
+        hits += int(np.count_nonzero(hi > lo))
+    return hits
 
 
 def count_successes(catalog: Catalog, predictions: list[Prediction]) -> int:
-    return sum(prediction_hits(p, catalog) for p in predictions)
+    """Number of predictions that a catalog event satisfies."""
+    return count_hits(alarm_groups(predictions), catalog.times, catalog.xs,
+                      catalog.ys, catalog.magnitudes)
 
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
@@ -276,12 +313,13 @@ class SignificanceReport:
     n_observed: int
     mu: float
     sigma: float
-    z: float
-    significance: float
+    z: float | None
+    significance: float | None
     exact_significance: float | None
     c_hat: float
     c_min: float | None
     c_min_capped: bool
+    c_min_residual: float | None
     alpha: float
     overlap_fraction: float
 
@@ -297,6 +335,7 @@ class SignificanceReport:
             "c_hat": self.c_hat,
             "c_min": self.c_min,
             "c_min_capped": self.c_min_capped,
+            "c_min_residual": self.c_min_residual,
             "alpha": self.alpha,
             "overlap_fraction": self.overlap_fraction,
         }
@@ -310,19 +349,18 @@ def significance_report(catalog: Catalog, predictions: list[Prediction],
     Validates the predictions against the catalog, computes the chance
     probabilities under ``density``, counts successes, and assembles
     significance, enhancement and the alpha-level lower bound c_min
-    (omitted when nothing succeeded).
+    (omitted when nothing succeeded).  When the null variance is zero
+    (every probability is 0 or 1) the normal approximation is undefined:
+    ``z`` and ``significance`` are None, and the exact tail, when asked
+    for, is still given.
     """
     validate_predictions_against(predictions, catalog)
     cp = chance_probabilities(predictions, density, catalog)
     n_obs = count_successes(catalog, predictions)
-    z, sig = clt_significance(cp, n_obs)
+    z, sig = clt_significance(cp, n_obs) if cp.sigma > 0 else (None, None)
     exact_sig = exact_poisson_binomial(cp.probabilities, n_obs) if exact else None
     c_hat = enhancement_estimate(cp, n_obs)
-    if n_obs >= 1:
-        cmin = min_consistent_c(cp, n_obs, alpha)
-        c_min_value, c_min_capped = cmin.value, cmin.capped
-    else:
-        c_min_value, c_min_capped = None, False
+    cmin = min_consistent_c(cp, n_obs, alpha) if n_obs >= 1 else None
     return SignificanceReport(
         n_predictions=cp.m,
         n_observed=n_obs,
@@ -332,8 +370,9 @@ def significance_report(catalog: Catalog, predictions: list[Prediction],
         significance=sig,
         exact_significance=exact_sig,
         c_hat=c_hat,
-        c_min=c_min_value,
-        c_min_capped=c_min_capped,
+        c_min=cmin.value if cmin else None,
+        c_min_capped=cmin.capped if cmin else False,
+        c_min_residual=cmin.residual if cmin else None,
         alpha=alpha,
         overlap_fraction=overlap_fraction(predictions),
     )

@@ -27,7 +27,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError, QuakevalError, ValidationError
 
 _EDGE_TOL = 1e-9
 
@@ -206,17 +206,13 @@ class ConvexPolygon:
 
     def sample_uniform(self, count: int, rng: np.random.Generator) -> np.ndarray:
         xmin, xmax, ymin, ymax = self.bounding_box
-        out = np.empty((count, 2))
-        filled = 0
-        while filled < count:
-            n = max(64, int(1.8 * (count - filled) * (xmax - xmin) * (ymax - ymin) / self.area))
-            cand = np.column_stack([xmin + rng.random(n) * (xmax - xmin),
+
+        def propose(remaining: int) -> np.ndarray:
+            n = max(64, int(1.8 * remaining * (xmax - xmin) * (ymax - ymin) / self.area))
+            return np.column_stack([xmin + rng.random(n) * (xmax - xmin),
                                     ymin + rng.random(n) * (ymax - ymin)])
-            keep = cand[self.contains(cand[:, 0], cand[:, 1])]
-            take = min(len(keep), count - filled)
-            out[filled:filled + take] = keep[:take]
-            filled += take
-        return out
+
+        return sample_inside(self, count, propose)
 
     def grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         # fan triangulation about the centroid; each triangle is the image
@@ -258,6 +254,26 @@ Region = Union[Rectangle, Circle, ConvexPolygon]
 def _signed_area(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def sample_inside(region: Region, count: int,
+                  propose: Callable[[int], np.ndarray]) -> np.ndarray:
+    """``count`` points inside ``region`` by rejection: batches of
+    candidates from ``propose(remaining)``, shape (k, 2), are kept in
+    draw order while they land inside, so seeded proposals give seeded
+    samples.  Raises QuakevalError when the batches keep missing."""
+    out = np.empty((count, 2))
+    filled = 0
+    for _ in range(100_000):
+        if filled >= count:
+            return out
+        cand = propose(count - filled)
+        keep = cand[np.asarray(region.contains(cand[:, 0], cand[:, 1]), bool)]
+        take = min(len(keep), count - filled)
+        out[filled:filled + take] = keep[:take]
+        filled += take
+    raise QuakevalError("rejection sampling stalled: the proposals almost "
+                        "never land inside the region")
 
 
 def region_from_dict(d: dict) -> Region:

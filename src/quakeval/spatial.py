@@ -38,9 +38,9 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import ndtr
 
-from .errors import FitError, QuakevalError, ValidationError
+from .errors import FitError, ValidationError
 from .regions import (Rectangle, Region, contains_region, integrate,
-                      region_from_dict)
+                      region_from_dict, sample_inside)
 
 _EVAL_CHUNK = 4_000_000  # pairwise kernel evaluations per block
 
@@ -167,23 +167,13 @@ class ParametricDensity:
         if n_unif:
             out[~comp_bump] = self.region.sample_uniform(n_unif, rng)
         if n_bump:
-            sigma = np.linalg.inv(2.0 * self.q_matrix)
-            chol = np.linalg.cholesky(sigma)
-            draws = np.empty((n_bump, 2))
-            filled = 0
-            for _ in range(100_000):
-                if filled >= n_bump:
-                    break
-                z = rng.standard_normal((max(64, 2 * (n_bump - filled)), 2))
-                cand = self.x_c + z @ chol.T
-                keep = cand[np.asarray(self.region.contains(cand[:, 0], cand[:, 1]), bool)]
-                take = min(len(keep), n_bump - filled)
-                draws[filled:filled + take] = keep[:take]
-                filled += take
-            else:
-                raise QuakevalError("bump sampling rejection loop stalled; "
-                                    "is the bump essentially outside the region?")
-            out[comp_bump] = draws
+            chol = np.linalg.cholesky(np.linalg.inv(2.0 * self.q_matrix))
+
+            def propose(remaining: int) -> np.ndarray:
+                z = rng.standard_normal((max(64, 2 * remaining), 2))
+                return self.x_c + z @ chol.T
+
+            out[comp_bump] = sample_inside(self.region, n_bump, propose)
         return out
 
     def to_dict(self) -> dict:
@@ -221,7 +211,7 @@ class KernelDensity:
         self.bandwidth = _check_spd(bandwidth, "bandwidth")
         self._h_inv = np.linalg.inv(self.bandwidth)
         self._norm_kernel = 1.0 / (2.0 * np.pi * math.sqrt(np.linalg.det(self.bandwidth)))
-        self.normalization = self._region_mass()
+        self.normalization = self._raw_mass(region, epsabs=1e-10)
         if self.normalization <= 1e-12:
             raise ValidationError("kernel mass inside the region is numerically zero")
         self.points.flags.writeable = False
@@ -241,19 +231,20 @@ class KernelDensity:
             out[start:start + len(blk)] = np.exp(-0.5 * q).mean(axis=1)
         return self._norm_kernel * out
 
-    def _region_mass(self) -> float:
+    def _raw_mass(self, region: Region, epsabs: float) -> float:
+        """Unnormalized kernel mass of a region."""
         diag = abs(self.bandwidth[0, 1]) <= 1e-12 * max(self.bandwidth[0, 0],
                                                         self.bandwidth[1, 1])
-        if diag and isinstance(self.region, Rectangle):
+        if diag and isinstance(region, Rectangle):
             # product of 1-D Gaussian masses, exact up to erf
             hx = math.sqrt(self.bandwidth[0, 0])
             hy = math.sqrt(self.bandwidth[1, 1])
-            px = ndtr((self.region.x_max - self.points[:, 0]) / hx) \
-                - ndtr((self.region.x_min - self.points[:, 0]) / hx)
-            py = ndtr((self.region.y_max - self.points[:, 1]) / hy) \
-                - ndtr((self.region.y_min - self.points[:, 1]) / hy)
+            px = ndtr((region.x_max - self.points[:, 0]) / hx) \
+                - ndtr((region.x_min - self.points[:, 0]) / hx)
+            py = ndtr((region.y_max - self.points[:, 1]) / hy) \
+                - ndtr((region.y_min - self.points[:, 1]) / hy)
             return float(np.mean(px * py))
-        return integrate(self.region, self._raw, epsabs=1e-10)
+        return integrate(region, self._raw, epsabs=epsabs)
 
     def evaluate(self, points) -> np.ndarray:
         pts = _as_points(points)
@@ -266,18 +257,7 @@ class KernelDensity:
     def integrate(self, subregion: Region, epsabs: float = 1e-8) -> float:
         if not contains_region(self.region, subregion):
             raise ValidationError("subregion escapes the model's region")
-        diag = abs(self.bandwidth[0, 1]) <= 1e-12 * max(self.bandwidth[0, 0],
-                                                        self.bandwidth[1, 1])
-        if diag and isinstance(subregion, Rectangle):
-            hx = math.sqrt(self.bandwidth[0, 0])
-            hy = math.sqrt(self.bandwidth[1, 1])
-            px = ndtr((subregion.x_max - self.points[:, 0]) / hx) \
-                - ndtr((subregion.x_min - self.points[:, 0]) / hx)
-            py = ndtr((subregion.y_max - self.points[:, 1]) / hy) \
-                - ndtr((subregion.y_min - self.points[:, 1]) / hy)
-            mass = float(np.mean(px * py)) / self.normalization
-        else:
-            mass = integrate(subregion, self._raw, epsabs=epsabs) / self.normalization
+        mass = self._raw_mass(subregion, epsabs) / self.normalization
         return min(max(mass, 0.0), 1.0)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
@@ -286,21 +266,13 @@ class KernelDensity:
 
     def sample_rng(self, count: int, rng: np.random.Generator) -> np.ndarray:
         chol = np.linalg.cholesky(self.bandwidth)
-        out = np.empty((count, 2))
-        filled = 0
-        for _ in range(100_000):
-            if filled >= count:
-                break
-            m = max(64, 2 * (count - filled))
+
+        def propose(remaining: int) -> np.ndarray:
+            m = max(64, 2 * remaining)
             base = self.points[rng.integers(0, len(self.points), m)]
-            cand = base + rng.standard_normal((m, 2)) @ chol.T
-            keep = cand[np.asarray(self.region.contains(cand[:, 0], cand[:, 1]), bool)]
-            take = min(len(keep), count - filled)
-            out[filled:filled + take] = keep[:take]
-            filled += take
-        else:
-            raise QuakevalError("kernel sampling rejection loop stalled")
-        return out
+            return base + rng.standard_normal((m, 2)) @ chol.T
+
+        return sample_inside(self.region, count, propose)
 
     def to_dict(self, points_ref: str = "") -> dict:
         return {
@@ -316,11 +288,6 @@ class KernelDensity:
 
 
 SpatialDensity = Union[ParametricDensity, KernelDensity]
-
-
-def sample(density: SpatialDensity, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` locations from a density, deterministically in ``seed``."""
-    return density.sample(count, seed)
 
 
 @dataclass(frozen=True)
@@ -482,7 +449,10 @@ def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensit
 def load_density(path) -> SpatialDensity:
     path = Path(path)
     data = json.loads(path.read_text(encoding="utf-8"))
-    return density_from_dict(data, base_dir=path.parent)
+    try:
+        return density_from_dict(data, base_dir=path.parent)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: density model lacks the key {exc}") from None
 
 
 def save_density(density: SpatialDensity, path) -> None:

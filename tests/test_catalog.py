@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quakeval import (AftershockPolicy, Catalog, Circle, ConvexPolygon,
-                      EarthquakeEvent, Prediction, Rectangle, ValidationError,
+                      Prediction, Rectangle, ValidationError,
                       filter_aftershocks, parse_earthquakes, parse_predictions,
                       serialize_earthquakes, serialize_exclusions,
                       serialize_predictions, validate_predictions_against)
@@ -14,11 +14,22 @@ REGION = Rectangle(0.0, 100.0, 0.0, 100.0)
 
 
 def ev(t, x=50.0, y=50.0, m=5.0):
-    return EarthquakeEvent(t, x, y, m)
+    return (t, x, y, m)
+
+
+def catalog(events, record_start, record_end, region):
+    """Catalog from (t, x, y, m) rows, through the column constructor."""
+    t, x, y, m = np.array(events, dtype=float).reshape(-1, 4).T
+    return Catalog(t, x, y, m, record_start, record_end, region)
+
+
+def rows(cat):
+    """The catalog's events as (t, x, y, m) tuples in time order."""
+    return list(zip(cat.times, cat.xs, cat.ys, cat.magnitudes))
 
 
 def test_catalog_sorts_and_exposes_columns():
-    cat = Catalog([ev(5.0), ev(1.0, m=6.0), ev(3.0)], 0.0, 10.0, REGION)
+    cat = catalog([ev(5.0), ev(1.0, m=6.0), ev(3.0)], 0.0, 10.0, REGION)
     assert list(cat.times) == [1.0, 3.0, 5.0]
     assert cat.magnitudes[0] == 6.0
     assert cat.span == 10.0
@@ -29,21 +40,23 @@ def test_catalog_sorts_and_exposes_columns():
 
 def test_catalog_rejects_out_of_record_and_region():
     with pytest.raises(ValidationError):
-        Catalog([ev(11.0)], 0.0, 10.0, REGION)
+        catalog([ev(11.0)], 0.0, 10.0, REGION)
     with pytest.raises(ValidationError):
-        Catalog([ev(5.0, x=150.0)], 0.0, 10.0, REGION)
+        catalog([ev(5.0, x=150.0)], 0.0, 10.0, REGION)
     with pytest.raises(ValidationError):
-        Catalog([], 5.0, 5.0, REGION)
+        catalog([], 5.0, 5.0, REGION)
+    with pytest.raises(ValidationError, match="equal length"):
+        Catalog([1.0], [50.0, 50.0], [50.0], [5.0], 0.0, 10.0, REGION)
 
 
 def test_catalog_columns_are_read_only():
-    cat = Catalog([ev(1.0)], 0.0, 10.0, REGION)
+    cat = catalog([ev(1.0)], 0.0, 10.0, REGION)
     with pytest.raises(ValueError):
         cat.times[0] = 9.0
 
 
 def test_catalog_subset():
-    cat = Catalog([ev(1.0), ev(2.0, m=6.0), ev(3.0)], 0.0, 10.0, REGION)
+    cat = catalog([ev(1.0), ev(2.0, m=6.0), ev(3.0)], 0.0, 10.0, REGION)
     sub = cat.subset(cat.magnitudes >= 6.0)
     assert len(sub) == 1
     assert sub.times[0] == 2.0
@@ -63,7 +76,7 @@ def test_earthquake_round_trip_exact():
     """repr-float serialization survives parse without any drift."""
     awkward = [ev(0.1 + 0.2, x=1.0 / 3.0, y=2.0 / 7.0, m=5.15),
                ev(np.nextafter(1.0, 2.0), x=99.999999999, y=0.0, m=4.0)]
-    cat = Catalog(awkward, 0.0, 10.0, REGION)
+    cat = catalog(awkward, 0.0, 10.0, REGION)
     text = serialize_earthquakes(cat)
     again = parse_earthquakes(io.StringIO(text), region=REGION,
                               record_end=10.0)
@@ -82,6 +95,14 @@ def test_parse_earthquakes_errors_name_rows():
         parse_earthquakes(io.StringIO("time,x,y,magnitude\noops,2,3,4\n"))
     with pytest.raises(ValidationError, match="negative time"):
         parse_earthquakes(io.StringIO("time,x,y,magnitude\n-1,2,3,4\n"))
+    # rows are numbered in file order, not in time order, and blank lines count
+    with pytest.raises(ValidationError, match="row 3: epicentre"):
+        parse_earthquakes(io.StringIO("time,x,y,magnitude\n5,2,3,4\n\n1,200,3,4\n"),
+                          region=REGION)
+    with pytest.raises(ValidationError, match="row 2: magnitude value 'nan'"):
+        parse_earthquakes(io.StringIO("time,x,y,magnitude\n1,2,3,4\n2,2,3,nan\n"))
+    with pytest.raises(ValidationError, match="row 1: x value 'inf'"):
+        parse_earthquakes(io.StringIO("time,x,y,magnitude\n1,inf,3,4\n"))
 
 
 def test_parse_earthquakes_skips_blank_rows_and_derives_bounds():
@@ -144,7 +165,7 @@ def test_predictions_round_trip(tmp_path):
 
 
 def test_validate_predictions_against():
-    cat = Catalog([ev(1.0)], 0.0, 10.0, REGION)
+    cat = catalog([ev(1.0)], 0.0, 10.0, REGION)
     good = Prediction(0.0, 1.0, 5.0, Circle(50.0, 50.0, 10.0), 5.0)
     validate_predictions_against([good], cat)
     late = Prediction(0.0, 1.0, 11.0, Circle(50.0, 50.0, 10.0), 5.0)
@@ -156,7 +177,7 @@ def test_validate_predictions_against():
 
 
 def test_filter_excludes_smaller_nearby_follower():
-    cat = Catalog([ev(10.0, 50, 50, 6.0), ev(15.0, 52, 50, 5.0),
+    cat = catalog([ev(10.0, 50, 50, 6.0), ev(15.0, 52, 50, 5.0),
                    ev(15.5, 90, 90, 5.0)], 0.0, 100.0, REGION)
     res = filter_aftershocks(cat, AftershockPolicy(10.0, 5.0))
     assert len(res.kept) == 2
@@ -166,7 +187,7 @@ def test_filter_excludes_smaller_nearby_follower():
 
 
 def test_filter_equal_magnitude_never_shadows():
-    cat = Catalog([ev(10.0, 50, 50, 5.0), ev(12.0, 50, 50, 5.0)],
+    cat = catalog([ev(10.0, 50, 50, 5.0), ev(12.0, 50, 50, 5.0)],
                   0.0, 100.0, REGION)
     res = filter_aftershocks(cat, AftershockPolicy(10.0, 5.0))
     assert len(res.kept) == 2
@@ -174,7 +195,7 @@ def test_filter_equal_magnitude_never_shadows():
 
 def test_filter_excluded_event_cannot_shadow():
     """A follower removed by the filter must not remove anything itself."""
-    cat = Catalog([
+    cat = catalog([
         ev(0.0, 50, 50, 7.0),
         ev(5.0, 52, 50, 6.0),    # excluded by the first
         ev(8.0, 90, 90, 5.0),    # near nothing retained and bigger, kept
@@ -189,11 +210,11 @@ def test_filter_excluded_event_cannot_shadow():
 
 def test_filter_time_window_boundaries():
     # exactly at the window edge is still shadowed; same instant is not
-    cat = Catalog([ev(0.0, 50, 50, 6.0), ev(10.0, 50, 50, 5.0),
+    cat = catalog([ev(0.0, 50, 50, 6.0), ev(10.0, 50, 50, 5.0),
                    ev(10.0, 51, 50, 5.9)], 0.0, 100.0, REGION)
     res = filter_aftershocks(cat, AftershockPolicy(10.0, 5.0))
     assert len(res.excluded) == 2
-    simultaneous = Catalog([ev(0.0, 50, 50, 6.0), ev(0.0, 50, 50, 5.0)],
+    simultaneous = catalog([ev(0.0, 50, 50, 6.0), ev(0.0, 50, 50, 5.0)],
                            0.0, 100.0, REGION)
     res2 = filter_aftershocks(simultaneous, AftershockPolicy(10.0, 5.0))
     assert len(res2.kept) == 2
@@ -204,34 +225,32 @@ def test_filter_idempotent_and_matches_reference():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n = 120
-        events = [EarthquakeEvent(float(t), float(x), float(y), float(m))
-                  for t, x, y, m in zip(np.sort(rng.uniform(0, 300, n)),
-                                        rng.uniform(0, 100, n),
-                                        rng.uniform(0, 100, n),
-                                        rng.uniform(4.0, 7.0, n))]
-        cat = Catalog(events, 0.0, 300.0, REGION)
+        cat = Catalog(np.sort(rng.uniform(0, 300, n)), rng.uniform(0, 100, n),
+                      rng.uniform(0, 100, n), rng.uniform(4.0, 7.0, n),
+                      0.0, 300.0, REGION)
         policy = AftershockPolicy(20.0, 25.0)
         res = filter_aftershocks(cat, policy)
 
         kept_ref = []
-        for e in cat.events:
+        for e in rows(cat):
+            t, x, y, m = e
             shadowed = any(
-                k.magnitude > e.magnitude
-                and 0.0 < e.time - k.time <= policy.time_window
-                and (k.x - e.x) ** 2 + (k.y - e.y) ** 2
+                km > m
+                and 0.0 < t - kt <= policy.time_window
+                and (kx - x) ** 2 + (ky - y) ** 2
                 <= policy.distance_window ** 2
-                for k in kept_ref)
+                for kt, kx, ky, km in kept_ref)
             if not shadowed:
                 kept_ref.append(e)
-        assert list(res.kept.events) == kept_ref
+        assert rows(res.kept) == kept_ref
 
         again = filter_aftershocks(res.kept, policy)
         assert len(again.excluded) == 0
-        assert list(again.kept.events) == list(res.kept.events)
+        assert rows(again.kept) == rows(res.kept)
 
 
 def test_exclusion_audit_csv():
-    cat = Catalog([ev(10.0, 50, 50, 6.0), ev(15.0, 52, 50, 5.0)],
+    cat = catalog([ev(10.0, 50, 50, 6.0), ev(15.0, 52, 50, 5.0)],
                   0.0, 100.0, REGION)
     res = filter_aftershocks(cat, AftershockPolicy(10.0, 5.0))
     text = serialize_exclusions(res)

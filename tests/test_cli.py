@@ -170,3 +170,77 @@ def test_missing_file_exits_1(capsys):
 
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+
+
+MIXED = ["--predictions", "tests/data/predictions_mixed.csv",
+         "--polygons", "tests/data/predictions_mixed.regions.json"]
+
+
+@pytest.mark.parametrize("predictions", [["--predictions", PRED], MIXED])
+def test_enhancement_is_a_projection_of_significance(predictions, capsys):
+    assert run(["significance", *_base_args(), *predictions]) == 0
+    sig = json.loads(capsys.readouterr().out)
+    assert run(["enhancement", *_base_args(), *predictions]) == 0
+    enh = json.loads(capsys.readouterr().out)
+    shared = (set(sig) & set(enh)) - {"command", "config"}
+    assert shared == set(enh) - {"command", "config"}
+    assert {key: enh[key] for key in shared} == {key: sig[key] for key in shared}
+
+
+def _write_predictions(tmp_path, rows, sidecar=None):
+    path = tmp_path / "preds.csv"
+    path.write_text("issue_time,window_start,window_end,cx,cy,radius,min_magnitude\n"
+                    + "".join(row + "\n" for row in rows))
+    args = ["--predictions", str(path)]
+    if sidecar is not None:
+        side = tmp_path / "preds.regions.json"
+        side.write_text(json.dumps(sidecar))
+        args += ["--polygons", str(side)]
+    return args
+
+
+def test_significance_with_zero_null_variance(tmp_path, capsys):
+    # a full-record alarm over the whole region succeeds with probability 1,
+    # a zero-duration one with probability 0: the normal variance is zero
+    preds = _write_predictions(
+        tmp_path, ["0,0,1000,,,,3.0", "0,500.5,500.5,100,100,10,3.0"],
+        sidecar={"0": [[0, 0], [200, 0], [200, 200], [0, 200]]})
+    code = run(["significance", *_base_args(), *preds, "--exact"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sigma"] == 0.0
+    assert payload["z"] is None and payload["significance"] is None
+    assert payload["n_observed"] == 1
+    assert payload["exact_significance"] == 1.0
+
+
+def test_enhancement_rejects_window_outside_record(tmp_path, capsys):
+    preds = _write_predictions(tmp_path, ["900,900,1100,100,100,10,3.0"])
+    for command in ("significance", "enhancement"):
+        assert run([command, *_base_args(), *preds]) == 2
+        assert "outside the record" in capsys.readouterr().err
+
+
+def test_density_missing_key_exits_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    assert run(["fit-density", *_base_args(), "--kind", "parametric",
+                "--model-out", str(model)]) == 0
+    capsys.readouterr()
+    data = json.loads(model.read_text())
+    del data["Q"]
+    model.write_text(json.dumps(data))
+    code = run(["significance", *_base_args(), "--predictions", PRED,
+                "--density", str(model)])
+    assert code == 2
+    assert "'Q'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["{not json", "[[0, 0], [1, 0], [0, 1]]",
+                                  '{"1": "abc"}'])
+def test_malformed_polygon_sidecar_exits_2(tmp_path, capsys, text):
+    sidecar = tmp_path / "bad.regions.json"
+    sidecar.write_text(text)
+    code = run(["significance", *_base_args(), "--predictions",
+                "tests/data/predictions_mixed.csv", "--polygons", str(sidecar)])
+    assert code == 2
+    assert str(sidecar) in capsys.readouterr().err

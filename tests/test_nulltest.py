@@ -5,13 +5,13 @@ import pytest
 from scipy import stats
 from scipy.special import ndtr
 
-from quakeval import (Catalog, ParametricDensity, Prediction, Rectangle,
+from quakeval import (Catalog, Circle, ConvexPolygon, ParametricDensity,
+                      Prediction, Rectangle,
                       ValidationError, chance_probabilities,
                       chance_probability, clt_significance, count_successes,
                       enhancement_estimate, exact_poisson_binomial,
                       min_consistent_c, overlap_fraction,
-                      poisson_binomial_pmf, prediction_hits,
-                      significance_report)
+                      poisson_binomial_pmf, significance_report)
 from quakeval.catalog import parse_earthquakes, parse_predictions
 
 REGION = Rectangle(0.0, 200.0, 0.0, 200.0)
@@ -47,6 +47,24 @@ def test_chance_probability_monotone():
         assert p_more_events > p_small
         assert p_longer > p_small
         assert p_wider >= p_small
+
+
+def test_chance_probability_arrays_match_scalars():
+    rng = np.random.default_rng(5)
+    s = np.concatenate([[0.0, 1.0, 1.0], rng.uniform(0.0, 1.0, 20)])
+    d = np.concatenate([[10.0, 100.0, 0.0], rng.uniform(0.0, 100.0, 20)])
+    n = np.concatenate([[4, 3, 5], rng.integers(1, 50, 20)])
+    out = chance_probability(s, d, 100.0, n)
+    assert out.shape == (23,)
+    ref = [chance_probability(float(a), float(b), 100.0, int(c))
+           for a, b, c in zip(s, d, n)]
+    assert all(isinstance(v, float) for v in ref)
+    assert out.tolist() == ref
+    assert out[0] == 0.0 and out[1] == 1.0 and out[2] == 0.0
+    with pytest.raises(ValidationError, match="spatial mass 1.2"):
+        chance_probability(np.array([0.5, 1.2]), 10.0, 100.0, 3)
+    with pytest.raises(ValidationError, match="duration 150"):
+        chance_probability(0.5, np.array([10.0, 150.0]), 100.0, 3)
 
 
 def test_chance_probability_tiny_values_accurate():
@@ -208,9 +226,64 @@ def test_prediction_hits_region_filter():
     cat = _tiny_catalog()
     far = Prediction(0.0, 0.0, 100.0, Rectangle(150, 199, 150, 199), 5.0)
     near = Prediction(0.0, 0.0, 100.0, Rectangle(40, 70, 50, 70), 5.0)
-    assert prediction_hits(far, cat) is False
-    assert prediction_hits(near, cat) is True
+    assert count_successes(cat, [far]) == 0
+    assert count_successes(cat, [near]) == 1
     assert count_successes(cat, [far, near]) == 1
+
+
+def test_count_successes_matches_loop_reference():
+    rng = np.random.default_rng(41)
+    n = 400
+    t = rng.uniform(0.0, 100.0, n)
+    t[:40] = np.round(t[:40])  # events on window edges
+    cat = Catalog(t, rng.uniform(0, 200, n), rng.uniform(0, 200, n),
+                  np.round(rng.uniform(4.0, 6.0, n), 1), 0.0, 100.0, REGION)
+    regions = [REGION, Rectangle(0, 100, 0, 100), Circle(120.0, 80.0, 30.0),
+               ConvexPolygon([[20, 20], [90, 40], [60, 120]])]
+    preds = []
+    for _ in range(120):
+        start = float(np.round(rng.uniform(0.0, 90.0)))
+        end = start + float(np.round(rng.uniform(0.0, 10.0)))
+        preds.append(Prediction(0.0, start, end, regions[rng.integers(4)],
+                                float(rng.choice([4.0, 4.5, 5.0, 5.5]))))
+
+    def hits(p):
+        ok = ((cat.times >= p.window_start) & (cat.times <= p.window_end)
+              & (cat.magnitudes >= p.min_magnitude)
+              & p.region.contains(cat.xs, cat.ys))
+        return bool(ok.any())
+
+    expected = [hits(p) for p in preds]
+    assert 0 < sum(expected) < len(preds)
+    assert count_successes(cat, preds) == sum(expected)
+    for p, hit in zip(preds, expected):
+        assert count_successes(cat, [p]) == hit
+
+
+def test_chance_probabilities_integrate_each_region_once():
+    class CountingDensity:
+        def __init__(self, density):
+            self.density, self.calls = density, []
+
+        def integrate(self, region):
+            self.calls.append(region)
+            return self.density.integrate(region)
+
+    cat = _tiny_catalog()
+    r1, r2 = Rectangle(0, 100, 0, 100), Circle(50.0, 50.0, 20.0)
+    preds = [Prediction(0.0, 0.0, 20.0, r1, 5.0),
+             Prediction(0.0, 10.0, 30.0, r2, 5.0),
+             Prediction(0.0, 30.0, 50.0, Rectangle(0, 100, 0, 100), 5.6),
+             Prediction(0.0, 40.0, 45.0, r2, 5.0)]
+    density = CountingDensity(ParametricDensity.uniform(REGION))
+    with pytest.raises(ValidationError, match="magnitude 5.6"):
+        chance_probabilities(preds, density, cat)
+    preds[2] = Prediction(0.0, 30.0, 50.0, Rectangle(0, 100, 0, 100), 5.0)
+    cp = chance_probabilities(preds, density, cat)
+    assert density.calls == [r1, r2]
+    for p, prob in zip(preds, cp.probabilities):
+        mass = density.density.integrate(p.region)
+        assert prob == chance_probability(mass, p.duration, 100.0, 4)
 
 
 def test_chance_probabilities_aggregates():

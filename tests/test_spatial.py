@@ -6,8 +6,7 @@ import pytest
 
 from quakeval import (Circle, ConvexPolygon, FitError, KernelDensity,
                       ParametricDensity, Rectangle, ValidationError,
-                      fit_kde, fit_parametric, load_density, sample,
-                      save_density)
+                      fit_kde, fit_parametric, load_density, save_density)
 
 REGION = Rectangle(0.0, 200.0, 0.0, 200.0)
 Q = np.array([[0.004, 0.001], [0.001, 0.003]])
@@ -77,7 +76,6 @@ def test_sampling_deterministic_and_inside():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert bool(np.all(REGION.contains(a[:, 0], a[:, 1])))
-    assert np.array_equal(sample(d, 50, seed=1), d.sample(50, seed=1))
 
 
 def test_sampling_respects_mixture_weight():
