@@ -14,7 +14,7 @@ from .catalog import (AftershockPolicy, Catalog, ExcludedEvent,
                       parse_predictions, serialize_earthquakes,
                       serialize_exclusions, serialize_predictions,
                       validate_predictions_against)
-from .errors import FitError, QuadratureError, QuakevalError, ValidationError
+from .errors import FitError, QuakevalError, ValidationError
 from .mc import (ClusteringParams, NullModel, SignificanceSimulation,
                  SimulationSummary, TauMoments, child_rng,
                  empirical_significance, empirical_tau_moments,
@@ -29,7 +29,7 @@ from .precursor import (DelayData, DelayObservation, PrecursorResult,
                         extract_delays, precursor_test, tau_mean, tau_tail,
                         tau_var)
 from .regions import (Circle, ConvexPolygon, Rectangle, Region,
-                      contains_region, integrate, region_from_dict)
+                      contains_region, region_from_dict)
 from .spatial import (FitResult, KernelDensity, ParametricDensity,
                       SpatialDensity, density_from_dict, fit_kde,
                       fit_parametric, load_density, save_density)
@@ -41,7 +41,7 @@ __all__ = [
     "ClusteringParams", "CMin", "ConvexPolygon", "DelayData",
     "DelayObservation", "ExcludedEvent", "FilterResult",
     "FitError", "FitResult", "KernelDensity", "NullModel",
-    "ParametricDensity", "PrecursorResult", "Prediction", "QuadratureError",
+    "ParametricDensity", "PrecursorResult", "Prediction",
     "QuakevalError", "Rectangle", "Region", "SignificanceReport",
     "SignificanceSimulation", "SimulationSummary", "SpatialDensity",
     "TauMoments", "ValidationError", "chance_probabilities",
@@ -49,7 +49,7 @@ __all__ = [
     "count_successes", "density_from_dict", "empirical_significance",
     "empirical_tau_moments", "enhancement_estimate", "exact_poisson_binomial",
     "extract_delays", "filter_aftershocks", "fit_kde", "fit_parametric",
-    "integrate", "ks_uniform_distance", "load_density", "min_consistent_c",
+    "ks_uniform_distance", "load_density", "min_consistent_c",
     "null_zscores", "overlap_fraction", "parse_earthquakes",
     "parse_predictions", "poisson_binomial_pmf", "precursor_test",
     "region_from_dict", "save_density", "serialize_earthquakes",

@@ -34,6 +34,7 @@ from .regions import Circle, ConvexPolygon, Rectangle, Region, contains_region
 EARTHQUAKE_HEADER = ["time", "x", "y", "magnitude"]
 PREDICTION_HEADER = ["issue_time", "window_start", "window_end",
                      "cx", "cy", "radius", "min_magnitude"]
+_TIME_SLACK = 1e-9  # days an event time may stray outside the record
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,11 @@ class Catalog:
             if not (np.isfinite(t).all() and np.isfinite(x).all()
                     and np.isfinite(y).all() and np.isfinite(m).all()):
                 raise ValidationError("catalog fields must be finite")
-            if t.min() < record_start - 1e-9 or t.max() > record_end + 1e-9:
-                raise ValidationError("event times fall outside the record span")
+            k = _first_outside_record(t, record_start, record_end)
+            if k is not None:
+                raise ValidationError(
+                    f"event {k} at time {t[k]:g} falls outside the record span "
+                    f"[{record_start:g}, {record_end:g}]")
             inside = region.contains(x, y)
             if not np.all(inside):
                 bad = int(np.flatnonzero(~inside)[0])
@@ -158,6 +162,13 @@ class Catalog:
                 f"{self.record_end:g}], {type(self.region).__name__})")
 
 
+def _first_outside_record(t: np.ndarray, record_start: float,
+                          record_end: float) -> int | None:
+    """Position of the first time outside the record span, or None."""
+    bad = np.flatnonzero((t < record_start - _TIME_SLACK) | (t > record_end + _TIME_SLACK))
+    return int(bad[0]) if len(bad) else None
+
+
 def _parse_float(text: str, row: int, column: str) -> float:
     try:
         value = float(text)
@@ -188,9 +199,9 @@ def parse_earthquakes(source, region: Region | None = None,
 
     Raises:
         ValidationError: missing or wrong header, non-numeric or
-            non-finite field, negative time, or an epicentre outside the
-            declared region.  The message names the offending 1-based
-            data row.
+            non-finite field, negative time, a time outside the record
+            span, or an epicentre outside the declared region.  The
+            message names the offending 1-based data row.
     """
     fh = _open_text(source)
     try:
@@ -227,6 +238,10 @@ def parse_earthquakes(source, region: Region | None = None,
         record_end = float(t.max()) if len(t) else record_start + 1.0
         if record_end <= record_start:
             record_end = record_start + 1.0
+    k = _first_outside_record(t, record_start, record_end)
+    if k is not None and record_end > record_start:
+        raise ValidationError(f"row {rows[k]}: time {t[k]:g} falls outside the record "
+                              f"span [{record_start:g}, {record_end:g}]")
     return Catalog(t, x, y, m, record_start, record_end, region)
 
 

@@ -15,11 +15,6 @@ class ValidationError(QuakevalError, ValueError):
     """
 
 
-class QuadratureError(QuakevalError):
-    """Raised when the adaptive integration rule fails to reach its
-    tolerance before the refinement cap."""
-
-
 class FitError(QuakevalError):
     """Raised when a density fit does not converge.
 

@@ -5,37 +5,39 @@ geometry is Euclidean.  Three shapes cover everything the evaluation
 needs: axis-aligned rectangles (study areas), circles (alarm zones) and
 convex polygons (irregular alarm zones).  Every shape knows its area,
 its bounding box, point membership, whether it fully contains another
-shape, how to draw uniform samples from itself, and how to build a
-quadrature grid over itself.
+shape, how to draw uniform samples from itself, and the mass it holds
+under a bivariate Gaussian.
 
-``integrate`` provides the shared adaptive tensor-product rule: the
-grid order is raised until two successive estimates agree to the
-requested absolute tolerance.  Rectangles use a Gauss-Legendre product
-rule, circles a polar rule (trapezoid in angle, Gauss-Legendre in
-radius), polygons a fan of triangles each mapped from the unit square.
-All three converge rapidly for smooth integrands; very narrow kernels
-(much smaller than ~1% of the region diameter) may exhaust the
-refinement ladder, which raises ``QuadratureError`` rather than
-returning a silently wrong value.
+``gaussian_mass(means, cov)`` gives P(N(mean_i, cov) in shape) for each
+row of ``means``; both density families are built from it.  Accuracy
+does not depend on how narrow the kernel is against the shape:
+
+* Rectangles and convex polygons are closed form (Owen's T function per
+  edge, after whitening): absolute error about 1e-15 per edge.
+* Circles use 64-node Gauss-Legendre rules in the angle on sub-intervals
+  cut at the kernel's +-8 SD band, with the chord's mass exact in
+  ``ndtr``: absolute error below 1e-12 for SDs from 0.2 km to 400 km,
+  correlations to +-0.9 and kernels anywhere on or off the circle; the
+  dropped tails hold under 3e-15.
+
+Masses are clipped to [0, 1].  Tests check them against ``ndtr``
+products, ``chndtr`` and ``dblquad`` on the whitened problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
+from scipy.special import ndtr, owens_t, roots_legendre
 
-from .errors import QuadratureError, QuakevalError, ValidationError
+from .errors import QuakevalError, ValidationError
 
 _EDGE_TOL = 1e-9
-
-
-def _leg(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, 1]."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (x + 1.0), 0.5 * w
+_EVAL_CHUNK = 4_000_000  # elements per temporary array in blocked kernel work
+_SD_CUT = 8.0  # a Gaussian carries 1.2e-15 of its mass beyond 8 SD
+_GL_X, _GL_W = roots_legendre(64)
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,11 @@ class Rectangle:
         pts[:, 1] = self.y_min + pts[:, 1] * (self.y_max - self.y_min)
         return pts
 
-    def grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        u, wu = _leg(order)
-        xs = self.x_min + u * (self.x_max - self.x_min)
-        ys = self.y_min + u * (self.y_max - self.y_min)
-        px, py = np.meshgrid(xs, ys, indexing="ij")
-        wx, wy = np.meshgrid(wu * (self.x_max - self.x_min),
-                             wu * (self.y_max - self.y_min), indexing="ij")
-        pts = np.column_stack([px.ravel(), py.ravel()])
-        return pts, (wx * wy).ravel()
+    def gaussian_mass(self, means, cov) -> np.ndarray:
+        """P(N(mean_i, cov) in the rectangle) for each row of ``means``."""
+        corners = np.array([(self.x_min, self.y_min), (self.x_max, self.y_min),
+                            (self.x_max, self.y_max), (self.x_min, self.y_max)])
+        return _polygon_gaussian_mass(corners, means, cov)
 
     def to_dict(self) -> dict:
         return {"type": "rectangle", "x_min": self.x_min, "x_max": self.x_max,
@@ -124,19 +122,49 @@ class Circle:
         return np.column_stack([self.cx + rho * np.cos(theta),
                                 self.cy + rho * np.sin(theta)])
 
-    def grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        # polar rule: periodic trapezoid in angle, Gauss-Legendre in radius
-        # (the extra radial factor rho is folded into the weights)
-        m = 2 * order
-        theta = 2.0 * np.pi * np.arange(m) / m
-        u, wu = _leg(order)
-        rho = self.radius * u
-        wr = wu * self.radius * rho
-        pr, pt = np.meshgrid(rho, theta, indexing="ij")
-        pts = np.column_stack([(self.cx + pr * np.cos(pt)).ravel(),
-                               (self.cy + pr * np.sin(pt)).ravel()])
-        w = np.meshgrid(wr, np.full(m, 2.0 * np.pi / m), indexing="ij")
-        return pts, (w[0] * w[1]).ravel()
+    def gaussian_mass(self, means, cov) -> np.ndarray:
+        """P(N(mean_i, cov) in the circle) for each row of ``means``.
+
+        In the principal frame of ``cov`` the kernel factorizes and the
+        circle stays a circle.  With x = cx + r sin(theta) the chord's
+        y-mass is an exact ``ndtr`` difference, and theta is integrated
+        by Gauss-Legendre on sub-intervals cut where the x-Gaussian or
+        either chord end crosses the kernel's +-8 SD band; sub-intervals
+        outside the band carry nothing and are dropped.
+        """
+        lam, rot = np.linalg.eigh(np.asarray(cov, dtype=float))
+        sx, sy = np.sqrt(lam)
+        r = self.radius
+        # circle centre relative to each kernel mean, in the principal frame
+        off = (np.array([self.cx, self.cy]) - _as_means(means)) @ rot
+        # 8 cut points per kernel bound 7 sub-intervals of len(_GL_X) nodes
+        step = max(1, _EVAL_CHUNK // (7 * len(_GL_X)))
+
+        def block(o: np.ndarray) -> np.ndarray:
+            ox, oy = o[:, :1], o[:, 1:]
+            half_pi = np.full_like(ox, 0.5 * np.pi)
+            x_cut = np.arcsin(np.clip((np.array([-1.0, 1.0]) * _SD_CUT * sx - ox) / r,
+                                      -1.0, 1.0))
+            # a chord end crosses the band edges where cos(theta) takes these
+            # values; above 1 there is no crossing, and the cut falls on the end
+            y_cos = np.abs(_SD_CUT * sy + np.array([-1.0, 1.0]) * oy) / r
+            y_cos = np.where(y_cos < 1.0, np.arccos(np.minimum(y_cos, 1.0)), 0.5 * np.pi)
+            cuts = np.sort(np.hstack([-half_pi, half_pi, x_cut, y_cos, -y_cos]), axis=1)
+            lo, hi = cuts[:, :-1], cuts[:, 1:]
+            mid = 0.5 * (lo + hi)
+            live = ((hi > lo) & (np.abs(ox + r * np.sin(mid)) < _SD_CUT * sx)
+                    & (oy + r * np.cos(mid) > -_SD_CUT * sy)
+                    & (oy - r * np.cos(mid) < _SD_CUT * sy))
+            k, j = np.nonzero(live)
+            centre, half = mid[k, j, None], 0.5 * (hi - lo)[k, j, None]
+            theta = centre + half * _GL_X
+            x = ox[k] + r * np.sin(theta)
+            chord = r * np.cos(theta)
+            f = (np.exp(-0.5 * (x / sx) ** 2) / (sx * np.sqrt(2.0 * np.pi))
+                 * (ndtr((oy[k] + chord) / sy) - ndtr((oy[k] - chord) / sy)) * chord)
+            return np.bincount(k, weights=(f @ _GL_W) * half[:, 0], minlength=len(o))
+
+        return _blocked(off, step, block)
 
     def to_dict(self) -> dict:
         return {"type": "circle", "cx": self.cx, "cy": self.cy, "radius": self.radius}
@@ -214,24 +242,9 @@ class ConvexPolygon:
 
         return sample_inside(self, count, propose)
 
-    def grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        # fan triangulation about the centroid; each triangle is the image
-        # of the unit square under (u, v) -> v0 + u(v1 - v0) + uv(v2 - v1),
-        # whose Jacobian is 2*area*u
-        centroid = self._v.mean(axis=0)
-        u, wu = _leg(order)
-        uu, vv = np.meshgrid(u, u, indexing="ij")
-        wuu, wvv = np.meshgrid(wu, wu, indexing="ij")
-        pts_list, w_list = [], []
-        for a, b in zip(self._v, np.roll(self._v, -1, axis=0)):
-            v0, v1, v2 = centroid, a, b
-            px = v0[0] + uu * (v1[0] - v0[0]) + uu * vv * (v2[0] - v1[0])
-            py = v0[1] + uu * (v1[1] - v0[1]) + uu * vv * (v2[1] - v1[1])
-            tri_area2 = abs((v1[0] - v0[0]) * (v2[1] - v0[1])
-                            - (v1[1] - v0[1]) * (v2[0] - v0[0]))
-            pts_list.append(np.column_stack([px.ravel(), py.ravel()]))
-            w_list.append((wuu * wvv * uu * tri_area2).ravel())
-        return np.vstack(pts_list), np.concatenate(w_list)
+    def gaussian_mass(self, means, cov) -> np.ndarray:
+        """P(N(mean_i, cov) in the polygon) for each row of ``means``."""
+        return _polygon_gaussian_mass(self._v, means, cov)
 
     def to_dict(self) -> dict:
         return {"type": "polygon", "vertices": self._v.tolist()}
@@ -254,6 +267,58 @@ Region = Union[Rectangle, Circle, ConvexPolygon]
 def _signed_area(v: np.ndarray) -> float:
     x, y = v[:, 0], v[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def _as_means(means) -> np.ndarray:
+    m = np.asarray(means, dtype=float)
+    if m.ndim != 2 or m.shape[1] != 2:
+        raise ValidationError("means must have shape (n, 2)")
+    return m
+
+
+def _blocked(rows: np.ndarray, step: int,
+             block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Apply ``block`` to ``step`` rows at a time; masses clipped to [0, 1]."""
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        out[start:start + step] = block(rows[start:start + step])
+    return np.clip(out, 0.0, 1.0)
+
+
+def _polygon_gaussian_mass(vertices: np.ndarray, means, cov) -> np.ndarray:
+    """Closed-form Gaussian mass of a convex polygon (counterclockwise).
+
+    Whitening by the Cholesky factor of ``cov`` maps the polygon to a
+    convex polygon of the same orientation under a standard normal.  Its
+    mass is the sum over edges (a, b) of the signed mass of the triangle
+    (0, a, b): with d the signed distance of the origin from the edge
+    line and t the position along it, that is
+    (atan(t_b/d) - atan(t_a/d)) / 2pi - (T(d, t_b/d) - T(d, t_a/d)),
+    T being Owen's T function; the sign of d carries the triangle's
+    orientation.  An edge whose line passes through the origin spans a
+    degenerate triangle and adds nothing.
+    """
+    low_inv = np.linalg.inv(np.linalg.cholesky(np.asarray(cov, dtype=float)))
+    # whitened edges are the same for every kernel
+    e = (np.roll(vertices, -1, axis=0) - vertices) @ low_inv.T
+    length = np.hypot(e[:, 0], e[:, 1])
+    # a repeated vertex makes an edge of length 0: u = 0, so d = 0 below
+    ux, uy = (e / np.maximum(length, 1e-300)[:, None]).T
+    step = max(1, _EVAL_CHUNK // len(vertices))
+
+    def block(m: np.ndarray) -> np.ndarray:
+        a = (vertices[None, :, :] - m[:, None, :]) @ low_inv.T
+        d = a[..., 0] * uy - a[..., 1] * ux
+        t_a = a[..., 0] * ux + a[..., 1] * uy
+        # a triangle this close to degenerate carries less mass than 1e-200
+        on_line = np.abs(d) < 1e-200
+        d = np.where(on_line, 1.0, d)
+        ra, rb = t_a / d, (t_a + length) / d
+        wedge = ((np.arctan(rb) - np.arctan(ra)) / (2.0 * np.pi)
+                 - (owens_t(d, rb) - owens_t(d, ra)))
+        return np.where(on_line, 0.0, wedge).sum(axis=1)
+
+    return _blocked(_as_means(means), step, block)
 
 
 def sample_inside(region: Region, count: int,
@@ -322,33 +387,3 @@ def contains_region(outer: Region, inner: Region) -> bool:
         return outer.edge_distance(inner.cx, inner.cy) >= inner.radius - slack
     raise TypeError(f"unsupported region type {type(outer).__name__}")
 
-
-_ORDERS = (12, 17, 24, 34, 48, 68, 96, 136, 192, 272)
-
-
-@lru_cache(maxsize=256)
-def _cached_grid(region: Region, order: int) -> tuple[np.ndarray, np.ndarray]:
-    pts, w = region.grid(order)
-    pts.flags.writeable = False
-    w.flags.writeable = False
-    return pts, w
-
-
-def integrate(region: Region, f: Callable[[np.ndarray], np.ndarray],
-              epsabs: float = 1e-8) -> float:
-    """Integrate a vectorized integrand ``f(points) -> values`` over a region.
-
-    The tensor-product order is raised until two successive estimates
-    differ by at most ``epsabs`` (with a small relative floor).  Raises
-    QuadratureError when the ladder is exhausted without convergence.
-    """
-    prev = None
-    for order in _ORDERS:
-        pts, w = _cached_grid(region, order)
-        cur = float(np.dot(w, np.asarray(f(pts), dtype=float)))
-        if prev is not None and abs(cur - prev) <= max(epsabs, 4e-14 * abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"integral did not converge to {epsabs:g} over {type(region).__name__}; "
-        "the integrand is probably far narrower than the region")

@@ -36,13 +36,11 @@ from typing import Sequence, Union
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.special import ndtr
 
+from .catalog import _parse_float
 from .errors import FitError, ValidationError
-from .regions import (Rectangle, Region, contains_region, integrate,
-                      region_from_dict, sample_inside)
-
-_EVAL_CHUNK = 4_000_000  # pairwise kernel evaluations per block
+from .regions import (_EVAL_CHUNK, Region, contains_region, region_from_dict,
+                      sample_inside)
 
 
 def _as_points(points) -> np.ndarray:
@@ -73,6 +71,13 @@ def _quad_form(pts: np.ndarray, x_c: np.ndarray, q: np.ndarray) -> np.ndarray:
             + d[:, 1] ** 2 * q[1, 1])
 
 
+def _bump_mass(region: Region, x_c: np.ndarray, q: np.ndarray) -> float:
+    """Mass of exp(-(x - x_c)' Q (x - x_c)) over a region: pi / sqrt(det Q)
+    times the mass of N(x_c, (2Q)^-1) there."""
+    gauss = region.gaussian_mass(np.reshape(x_c, (1, 2)), np.linalg.inv(2.0 * q))
+    return math.pi / math.sqrt(np.linalg.det(q)) * float(gauss[0])
+
+
 class ParametricDensity:
     """Uniform floor plus one Gaussian bump, normalized over a region.
 
@@ -91,7 +96,7 @@ class ParametricDensity:
             raise ValidationError("bump amplitude p1 must be finite and >= 0")
         self.p1 = float(p1)
         self.bump_mass = 0.0 if self.p1 == 0.0 \
-            else integrate(region, self._bump, epsabs=1e-10)
+            else _bump_mass(region, self.x_c, self.q_matrix)
         weight = self.p1 * self.bump_mass
         if weight > 1.0 + 1e-9:
             raise ValidationError(
@@ -106,13 +111,8 @@ class ParametricDensity:
             raise ValidationError("bump weight must lie in [0, 1]")
         if weight == 0.0:
             return cls(x_c, q_matrix, 0.0, region)
-        centre = np.asarray(x_c, dtype=float).reshape(2)
-        q = _check_spd(q_matrix, "Q")
-
-        def bump(pts):
-            return np.exp(-_quad_form(pts, centre, q))
-
-        mass = integrate(region, bump, epsabs=1e-10)
+        mass = _bump_mass(region, np.asarray(x_c, dtype=float),
+                          _check_spd(q_matrix, "Q"))
         return cls(x_c, q_matrix, weight / mass, region)
 
     @classmethod
@@ -141,13 +141,13 @@ class ParametricDensity:
             raise ValidationError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the region")
         return self._values(pts)
 
-    def integrate(self, subregion: Region, epsabs: float = 1e-8) -> float:
+    def integrate(self, subregion: Region) -> float:
         """Probability mass of a subregion (must lie inside the region)."""
         if not contains_region(self.region, subregion):
             raise ValidationError("subregion escapes the model's region")
         mass = self.p0 * subregion.area
         if self.p1 > 0:
-            mass += self.p1 * integrate(subregion, self._bump, epsabs=epsabs)
+            mass += self.p1 * _bump_mass(subregion, self.x_c, self.q_matrix)
         return min(max(mass, 0.0), 1.0)
 
     def log_likelihood(self, points) -> float:
@@ -211,7 +211,7 @@ class KernelDensity:
         self.bandwidth = _check_spd(bandwidth, "bandwidth")
         self._h_inv = np.linalg.inv(self.bandwidth)
         self._norm_kernel = 1.0 / (2.0 * np.pi * math.sqrt(np.linalg.det(self.bandwidth)))
-        self.normalization = self._raw_mass(region, epsabs=1e-10)
+        self.normalization = self._raw_mass(region)
         if self.normalization <= 1e-12:
             raise ValidationError("kernel mass inside the region is numerically zero")
         self.points.flags.writeable = False
@@ -231,20 +231,9 @@ class KernelDensity:
             out[start:start + len(blk)] = np.exp(-0.5 * q).mean(axis=1)
         return self._norm_kernel * out
 
-    def _raw_mass(self, region: Region, epsabs: float) -> float:
-        """Unnormalized kernel mass of a region."""
-        diag = abs(self.bandwidth[0, 1]) <= 1e-12 * max(self.bandwidth[0, 0],
-                                                        self.bandwidth[1, 1])
-        if diag and isinstance(region, Rectangle):
-            # product of 1-D Gaussian masses, exact up to erf
-            hx = math.sqrt(self.bandwidth[0, 0])
-            hy = math.sqrt(self.bandwidth[1, 1])
-            px = ndtr((region.x_max - self.points[:, 0]) / hx) \
-                - ndtr((region.x_min - self.points[:, 0]) / hx)
-            py = ndtr((region.y_max - self.points[:, 1]) / hy) \
-                - ndtr((region.y_min - self.points[:, 1]) / hy)
-            return float(np.mean(px * py))
-        return integrate(region, self._raw, epsabs=epsabs)
+    def _raw_mass(self, region: Region) -> float:
+        """Unnormalized kernel mass of a region: the mean kernel mass."""
+        return float(np.mean(region.gaussian_mass(self.points, self.bandwidth)))
 
     def evaluate(self, points) -> np.ndarray:
         pts = _as_points(points)
@@ -254,10 +243,10 @@ class KernelDensity:
             raise ValidationError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the region")
         return self._raw(pts) / self.normalization
 
-    def integrate(self, subregion: Region, epsabs: float = 1e-8) -> float:
+    def integrate(self, subregion: Region) -> float:
         if not contains_region(self.region, subregion):
             raise ValidationError("subregion escapes the model's region")
-        mass = self._raw_mass(subregion, epsabs) / self.normalization
+        mass = self._raw_mass(subregion) / self.normalization
         return min(max(mass, 0.0), 1.0)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
@@ -336,7 +325,6 @@ def fit_parametric(points, region: Region, max_iterations: int = 10_000,
 
     area = region.area
     ll_uniform = -len(pts) * math.log(area)
-    grid_pts, grid_w = region.grid(48)
     xmin, xmax, ymin, ymax = region.bounding_box
     span_x, span_y = xmax - xmin, ymax - ymin
 
@@ -355,7 +343,10 @@ def fit_parametric(points, region: Region, max_iterations: int = 10_000,
                 and ymin - span_y <= cy <= ymax + span_y):
             return np.inf
         centre, q, _ = unpack(theta)
-        bump_mass = float(np.dot(grid_w, np.exp(-_quad_form(grid_pts, centre, q))))
+        try:
+            bump_mass = _bump_mass(region, centre, q)
+        except np.linalg.LinAlgError:  # (2Q)^-1 numerically singular
+            return np.inf
         if bump_mass <= 0 or not np.isfinite(bump_mass):
             return np.inf
         dens = (1.0 - w) / area + w * np.exp(-_quad_form(pts, centre, q)) / bump_mass
@@ -448,7 +439,10 @@ def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensit
 
 def load_density(path) -> SpatialDensity:
     path = Path(path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: density model is not valid JSON: {exc}") from None
     try:
         return density_from_dict(data, base_dir=path.parent)
     except KeyError as exc:
@@ -473,8 +467,17 @@ def _read_points_csv(path: Path) -> np.ndarray:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["x", "y"]:
             raise ValidationError(f"{path}: points CSV must have header 'x,y'")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
-    return np.asarray(rows, dtype=float)
+        rows = []
+        for i, r in enumerate(reader, start=1):
+            if not r:
+                continue
+            if len(r) != 2:
+                raise ValidationError(f"{path}: row {i}: expected 2 fields, got {len(r)}")
+            try:
+                rows.append((_parse_float(r[0], i, "x"), _parse_float(r[1], i, "y")))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from None
+    return np.asarray(rows, dtype=float).reshape(-1, 2)
 
 
 def _write_points_csv(path: Path, points: np.ndarray) -> None:

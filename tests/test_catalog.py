@@ -103,6 +103,12 @@ def test_parse_earthquakes_errors_name_rows():
         parse_earthquakes(io.StringIO("time,x,y,magnitude\n1,2,3,4\n2,2,3,nan\n"))
     with pytest.raises(ValidationError, match="row 1: x value 'inf'"):
         parse_earthquakes(io.StringIO("time,x,y,magnitude\n1,inf,3,4\n"))
+    # both ends of the record; the first offending row in file order
+    text = "time,x,y,magnitude\n5,2,3,4\n12,2,3,4\n2,2,3,4\n11,2,3,4\n"
+    with pytest.raises(ValidationError, match=r"row 2: time 12 falls outside the record"):
+        parse_earthquakes(io.StringIO(text), record_end=10.0)
+    with pytest.raises(ValidationError, match=r"row 3: time 2 falls outside the record"):
+        parse_earthquakes(io.StringIO(text), record_start=3.0)
 
 
 def test_parse_earthquakes_skips_blank_rows_and_derives_bounds():

@@ -244,3 +244,32 @@ def test_malformed_polygon_sidecar_exits_2(tmp_path, capsys, text):
                 "tests/data/predictions_mixed.csv", "--polygons", str(sidecar)])
     assert code == 2
     assert str(sidecar) in capsys.readouterr().err
+
+
+def test_truncated_density_json_exits_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text('{"type": "parametric", "x_c": [1')
+    code = run(["significance", *_base_args(), "--predictions", PRED,
+                "--density", str(model)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(model) in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    ("50.0", "row 3: expected 2 fields, got 1"),
+    ("abc,50.0", "row 3: x value 'abc' is not a number"),
+])
+def test_malformed_kde_points_exit_2(tmp_path, capsys, row, message):
+    model = tmp_path / "kde.json"
+    assert run(["fit-density", *_base_args(), "--kind", "kde",
+                "--model-out", str(model)]) == 0
+    capsys.readouterr()
+    points = tmp_path / "kde.points.csv"
+    lines = points.read_text().splitlines()
+    lines[3] = row
+    points.write_text("\n".join(lines) + "\n")
+    code = run(["significance", *_base_args(), "--predictions", PRED,
+                "--density", str(model)])
+    assert code == 2
+    assert f"{points}: {message}" in capsys.readouterr().err

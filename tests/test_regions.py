@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.integrate import dblquad
+from scipy.linalg import solve_triangular
+from scipy.special import chndtr, ndtr
 
-from quakeval import (Circle, ConvexPolygon, QuadratureError, Rectangle,
-                      ValidationError, contains_region, integrate,
-                      region_from_dict)
+from quakeval import (Circle, ConvexPolygon, Rectangle, ValidationError,
+                      contains_region, region_from_dict)
 
 
 def test_rectangle_basics():
@@ -83,69 +84,132 @@ def test_sample_uniform_mean_near_centroid():
     assert np.allclose(pts.mean(axis=0), [1.0, 1.0], atol=0.03)
 
 
-def test_rectangle_grid_integrates_polynomials_exactly():
-    r = Rectangle(0.0, 2.0, 1.0, 3.0)
-    pts, w = r.grid(12)
-    got = float(np.dot(w, pts[:, 0] ** 3 * pts[:, 1] ** 2))
-    want = 4.0 * 26.0 / 3.0  # int_0^2 x^3 dx * int_1^3 y^2 dy
-    assert got == pytest.approx(want, rel=1e-13)
-    assert float(np.sum(w)) == pytest.approx(r.area, rel=1e-13)
+SDS = (0.2, 1.0, 5.0, 50.0, 400.0)
+RECT = Rectangle(100.0, 400.0, 200.0, 350.0)
+POLY = ConvexPolygon([[100, 100], [600, 150], [700, 500], [300, 700], [50, 400]])
+DISC = Circle(500.0, 500.0, 300.0)
 
 
-def test_circle_grid_moments():
-    c = Circle(1.0, -2.0, 2.0)
-    pts, w = c.grid(20)
-    assert float(np.sum(w)) == pytest.approx(c.area, rel=1e-12)
-    assert float(np.dot(w, pts[:, 0])) == pytest.approx(1.0 * c.area, rel=1e-12)
-    assert float(np.dot(w, pts[:, 1])) == pytest.approx(-2.0 * c.area, rel=1e-12)
+def _covariances():
+    """Isotropic and correlated kernels at every SD of the test matrix."""
+    for s in SDS:
+        yield np.eye(2) * s * s
+        for rho in (0.8, -0.9):
+            sx, sy = s, 1.7 * s
+            yield np.array([[sx * sx, rho * sx * sy], [rho * sx * sy, sy * sy]])
 
 
-def test_polygon_grid_moments():
-    """Quadrature over a polygon reproduces area and centroid moments."""
-    verts = [[0.0, 0.0], [4.0, 0.0], [5.0, 3.0], [1.0, 4.0]]
-    poly = ConvexPolygon(verts)
-    # shoelace area and centroid, written out independently
-    v = np.array(verts)
-    x, y = v[:, 0], v[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
-    pts, w = poly.grid(16)
-    assert float(np.sum(w)) == pytest.approx(area, rel=1e-12)
-    assert float(np.dot(w, pts[:, 0])) == pytest.approx(cx * area, rel=1e-12)
-    assert float(np.dot(w, pts[:, 1])) == pytest.approx(cy * area, rel=1e-12)
-    assert bool(np.all(poly.contains(pts[:, 0], pts[:, 1])))
+def _polygon_probes(vertices):
+    """Kernel means at the centroid, an edge midpoint, a vertex and just
+    outside that vertex."""
+    v = np.asarray(vertices, dtype=float)
+    centroid = v.mean(axis=0)
+    outward = (v[0] - centroid) / np.hypot(*(v[0] - centroid))
+    return np.array([centroid, 0.5 * (v[1] + v[2]), v[0], v[0] + 0.5 * outward])
 
 
-def test_integrate_gaussian_on_rectangle():
-    r = Rectangle(-1.0, 2.0, 0.0, 4.0)
-
-    def f(pts):
-        return np.exp(-pts[:, 0] ** 2 - 0.5 * pts[:, 1] ** 2)
-
-    got = integrate(r, f, epsabs=1e-10)
-    gx = 0.5 * math.sqrt(math.pi) * (erf(2.0) - erf(-1.0))
-    gy = math.sqrt(math.pi / 2.0) * (erf(4.0 / math.sqrt(2.0)) - erf(0.0))
-    assert got == pytest.approx(gx * gy, abs=1e-9)
+def _std_normal(y, x):
+    return math.exp(-0.5 * (x * x + y * y)) / (2.0 * math.pi)
 
 
-def test_integrate_over_circle_and_polygon_constant():
-    for region in (Circle(0.0, 0.0, 1.3), ConvexPolygon([[0, 0], [2, 0], [1, 2]])):
-        got = integrate(region, lambda p: np.full(len(p), 2.5))
-        assert got == pytest.approx(2.5 * region.area, rel=1e-10)
+def _dblquad(x_breaks, lower, upper) -> float:
+    """Standard-normal mass of {lower(x) <= y <= upper(x)} by dblquad,
+    with x split at ``x_breaks`` and every limit clipped to +-12 SD."""
+    def lo(x):
+        return min(max(lower(x), -12.0), 12.0)
+
+    def hi(x):
+        return max(min(upper(x), 12.0), lo(x))
+
+    xs = np.unique(np.clip(x_breaks, -12.0, 12.0))
+    return sum(dblquad(_std_normal, x0, x1, lo, hi, epsabs=1e-13, epsrel=1e-12)[0]
+               for x0, x1 in zip(xs[:-1], xs[1:]))
 
 
-def test_integrate_raises_when_no_convergence():
-    r = Rectangle(0.0, 1.0, 0.0, 1.0)
-    rng = np.random.default_rng(0)
+def _whitened_polygon_mass(vertices, mean, cov) -> float:
+    low = np.linalg.cholesky(cov)
+    z = solve_triangular(low, (np.asarray(vertices, dtype=float) - mean).T, lower=True).T
+    a, b = z, np.roll(z, -1, axis=0)
+    ex = b[:, 0] - a[:, 0]
 
-    def noisy(pts):
-        return rng.random(len(pts))
+    def edge_y(x, keep):
+        return a[keep, 1] + (b[keep, 1] - a[keep, 1]) * (x - a[keep, 0]) / ex[keep]
 
-    with pytest.raises(QuadratureError):
-        integrate(r, noisy, epsabs=1e-12)
+    # counterclockwise: edges running right bound from below, left from above
+    return _dblquad(z[:, 0], lambda x: edge_y(x, ex > 0).max(),
+                    lambda x: edge_y(x, ex < 0).min())
+
+
+def _whitened_circle_mass(circle, mean, cov) -> float:
+    """The circle whitens to the ellipse w'Aw <= r^2 about z_c, A = L'L."""
+    low = np.linalg.cholesky(cov)
+    zc = solve_triangular(low, np.array([circle.cx, circle.cy]) - mean, lower=True)
+    a = low.T @ low
+    r2 = circle.radius ** 2
+    half_w = math.sqrt(a[1, 1] * r2 / np.linalg.det(a))
+
+    def chord(x, sign):
+        w = x - zc[0]
+        disc = max(a[0, 1] ** 2 * w * w - a[1, 1] * (a[0, 0] * w * w - r2), 0.0)
+        return zc[1] + (-a[0, 1] * w + sign * math.sqrt(disc)) / a[1, 1]
+
+    return _dblquad([zc[0] - half_w, zc[0], zc[0] + half_w],
+                    lambda x: chord(x, -1.0), lambda x: chord(x, 1.0))
+
+
+def test_rectangle_gaussian_mass_matches_ndtr_product():
+    """Diagonal kernels on a rectangle factor into two exact ndtr masses."""
+    means = _polygon_probes([[100, 200], [400, 200], [400, 350], [100, 350]])
+    for sx in SDS:
+        for sy in SDS:
+            got = RECT.gaussian_mass(means, np.diag([sx * sx, sy * sy]))
+            px = ndtr((RECT.x_max - means[:, 0]) / sx) - ndtr((RECT.x_min - means[:, 0]) / sx)
+            py = ndtr((RECT.y_max - means[:, 1]) / sy) - ndtr((RECT.y_min - means[:, 1]) / sy)
+            assert np.abs(got - px * py).max() <= 1e-12, (sx, sy)
+
+
+def test_circle_gaussian_mass_matches_chndtr():
+    """Isotropic kernels on a circle: the squared distance is noncentral chi^2."""
+    rim = DISC.radius / math.sqrt(2.0)
+    means = np.array([[500.0, 500.0], [600.0, 420.0], [800.0, 500.0],
+                      [500.0 + rim, 500.0 - rim], [500.0, 800.5], [500.0, 199.0]])
+    dist2 = (means[:, 0] - DISC.cx) ** 2 + (means[:, 1] - DISC.cy) ** 2
+    for s in SDS:
+        got = DISC.gaussian_mass(means, np.eye(2) * s * s)
+        want = chndtr((DISC.radius / s) ** 2, 2, dist2 / s ** 2)
+        assert np.abs(got - want).max() <= 1e-12, s
+
+
+def test_polygon_gaussian_mass_matches_whitened_dblquad():
+    means = _polygon_probes(POLY.vertices)
+    repeated = ConvexPolygon(np.insert(POLY.vertices, 1, POLY.vertices[1], axis=0))
+    for cov in _covariances():
+        got = POLY.gaussian_mass(means, cov)
+        assert np.abs(repeated.gaussian_mass(means, cov) - got).max() <= 1e-15
+        for mean, mass in zip(means, got):
+            assert mass == pytest.approx(_whitened_polygon_mass(POLY.vertices, mean, cov),
+                                         abs=1e-10), (cov.tolist(), mean)
+
+
+def test_correlated_rectangle_matches_whitened_dblquad():
+    corners = [[100, 200], [400, 200], [400, 350], [100, 350]]
+    means = _polygon_probes(corners)
+    for cov in _covariances():
+        got = RECT.gaussian_mass(means, cov)
+        for mean, mass in zip(means, got):
+            assert mass == pytest.approx(_whitened_polygon_mass(corners, mean, cov),
+                                         abs=1e-10), (cov.tolist(), mean)
+
+
+def test_correlated_circle_matches_whitened_dblquad():
+    rim = DISC.radius / math.sqrt(2.0)
+    means = np.array([[500.0, 500.0], [610.0, 430.0], [500.0 + rim, 500.0 + rim],
+                      [500.0 - rim, 500.0 + rim], [800.5, 500.0]])
+    for cov in _covariances():
+        got = DISC.gaussian_mass(means, cov)
+        for mean, mass in zip(means, got):
+            assert mass == pytest.approx(_whitened_circle_mass(DISC, mean, cov),
+                                         abs=1e-10), (cov.tolist(), mean)
 
 
 def test_region_dict_round_trip():
@@ -172,13 +236,3 @@ def test_contains_region_cases():
     poly = ConvexPolygon([[0, 0], [10, 0], [10, 10], [0, 10]])
     assert contains_region(poly, Circle(5.0, 5.0, 4.0))
     assert not contains_region(poly, Circle(9.5, 5.0, 1.0))
-
-
-def test_grid_returns_fresh_arrays():
-    r = Rectangle(0, 1, 0, 1)
-    pts1, w1 = r.grid(12)
-    pts2, w2 = r.grid(12)
-    assert np.array_equal(pts1, pts2) and np.array_equal(w1, w2)
-    pts1[0, 0] = 99.0  # caller-owned copy; must not leak into later calls
-    pts3, _ = r.grid(12)
-    assert pts3[0, 0] != 99.0

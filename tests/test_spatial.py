@@ -237,3 +237,12 @@ def test_circle_region_density():
     assert 0.0 < d.integrate(inner) < 1.0
     pts = d.sample(300, seed=5)
     assert bool(np.all(disc.contains(pts[:, 0], pts[:, 1])))
+
+
+def test_narrow_kernels_keep_their_mass():
+    """Two 0.2 km kernels, one at the centre of a 300 km circle and one
+    outside it: half the mass, however narrow the kernels."""
+    square = Rectangle(0.0, 1000.0, 0.0, 1000.0)
+    kde = KernelDensity([[500.0, 500.0], [200.0, 700.0]], np.eye(2) * 0.04, square)
+    assert kde.normalization == pytest.approx(1.0, abs=1e-12)
+    assert kde.integrate(Circle(500.0, 500.0, 300.0)) == pytest.approx(0.5, abs=1e-12)
