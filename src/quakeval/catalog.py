@@ -2,8 +2,23 @@
 
 File formats
 ------------
+Every CSV the package reads or writes follows the same rules:
+
+* The text is UTF-8 with a ``.`` decimal separator.
+* The first row is the exact header (cells are compared after stripping
+  whitespace).
+* Data rows are numbered from 1 in file order.  A row whose cells are
+  all blank is skipped but keeps its number; any other row must have
+  one field per header column.
+* A ``ValidationError`` raised while reading a file given by path
+  starts with that path, then names the row at fault: ``<path>: row N:
+  ...``.  Bytes that are not UTF-8 and CSV syntax errors (such as a
+  field over the csv module's size limit) are reported the same way.
+* Floats are written as their shortest round-trip ``repr``, so
+  ``parse(serialize(catalog))`` reproduces the catalog exactly.
+
 Earthquake CSV: header ``time,x,y,magnitude``; times in days since the
-record start, positions in km, UTF-8, ``.`` decimal separator.
+record start, positions in km.
 
 Prediction CSV: header
 ``issue_time,window_start,window_end,cx,cy,radius,min_magnitude``.
@@ -11,9 +26,6 @@ Rows with all three of ``cx,cy,radius`` filled describe circular alarm
 regions.  A row may leave them empty and take its region from a JSON
 sidecar instead: an object mapping the 0-based row index (as a string)
 to an array of [x, y] vertices, counterclockwise.
-
-Serialization uses ``repr``-style shortest round-trip floats so
-``parse(serialize(catalog))`` reproduces the catalog exactly.
 """
 
 from __future__ import annotations
@@ -22,9 +34,10 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,10 +192,65 @@ def _parse_float(text: str, row: int, column: str) -> float:
     return value
 
 
-def _open_text(source) -> io.TextIOBase:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="")
-    return source
+@contextmanager
+def _read_table(source, header: Sequence[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
+    """Open a CSV table that follows the rules in the module docstring.
+
+    ``source`` is a path, opened as UTF-8, or an open text handle.  The
+    with-block receives an iterator that streams the data rows as
+    (1-based row number, cells).  Every ``ValidationError`` raised in
+    the block, by the reader or by the caller, is prefixed with the path
+    when ``source`` is one; undecodable bytes and CSV syntax errors are
+    turned into such errors.
+    """
+    row = None  # the last row read; None until the header has been read
+
+    def data_rows(reader) -> Iterator[tuple[int, list[str]]]:
+        nonlocal row
+        for row, cells in enumerate(reader, start=1):
+            if not "".join(cells).strip():
+                continue
+            if len(cells) != len(header):
+                raise ValidationError(
+                    f"row {row}: expected {len(header)} fields, got {len(cells)}")
+            yield row, cells
+
+    is_path = isinstance(source, (str, Path))
+    prefix = f"{source}: " if is_path else ""
+    try:
+        with (open(source, encoding="utf-8", newline="") if is_path
+              else nullcontext(source)) as fh:
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != list(header):
+                raise ValidationError(f"CSV must start with header {','.join(header)!r}")
+            row = 0
+            yield data_rows(reader)
+    except UnicodeDecodeError as exc:  # its position counts from a read chunk, not the file
+        bad = exc.object[exc.start:exc.end]
+        raise ValidationError(f"{prefix}text is not UTF-8 ({exc.reason}: {bad!r})") from None
+    except csv.Error as exc:
+        where = "" if row is None else f"row {row + 1}: "
+        raise ValidationError(f"{prefix}{where}{exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{prefix}{exc}") from None
+
+
+def _write_table(header: Sequence[str], rows: Iterable[Sequence],
+                 destination=None) -> str | None:
+    """Write a CSV table: the header, then one line per row.
+
+    Cells are written with ``str``, so a Python float comes out as its
+    shortest round-trip ``repr``; pass numpy floats through ``float`` or
+    ``tolist`` first.  Returns the text when ``destination`` is None,
+    otherwise writes it there as UTF-8 and returns None.
+    """
+    with (io.StringIO() if destination is None
+          else open(destination, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return fh.getvalue() if destination is None else None
 
 
 def parse_earthquakes(source, region: Region | None = None,
@@ -203,45 +271,32 @@ def parse_earthquakes(source, region: Region | None = None,
             span, or an epicentre outside the declared region.  The
             message names the offending 1-based data row.
     """
-    fh = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != EARTHQUAKE_HEADER:
-            raise ValidationError(
-                f"earthquake CSV must start with header {','.join(EARTHQUAKE_HEADER)!r}")
-        rows: list[int] = []
-        values: list[list[float]] = []
-        for i, rowvals in enumerate(reader, start=1):
-            if not rowvals or all(not c.strip() for c in rowvals):
-                continue
-            if len(rowvals) != 4:
-                raise ValidationError(f"row {i}: expected 4 fields, got {len(rowvals)}")
-            vals = [_parse_float(v, i, c) for v, c in zip(rowvals, EARTHQUAKE_HEADER)]
+    rows: list[int] = []
+    values: list[list[float]] = []
+    with _read_table(source, EARTHQUAKE_HEADER) as table:
+        for i, cells in table:
+            vals = [_parse_float(v, i, c) for v, c in zip(cells, EARTHQUAKE_HEADER)]
             if vals[0] < 0:
                 raise ValidationError(f"row {i}: negative time {vals[0]:g}")
             rows.append(i)
             values.append(vals)
-    finally:
-        if isinstance(source, (str, Path)):
-            fh.close()
-    t, x, y, m = np.array(values, dtype=float).reshape(-1, 4).T
-    if region is None:
-        region = _bounding_region(x, y)
-    else:
-        outside = np.flatnonzero(~np.asarray(region.contains(x, y), bool))
-        if len(outside):
-            k = int(outside[0])
-            raise ValidationError(f"row {rows[k]}: epicentre ({x[k]:g}, {y[k]:g}) "
-                                  "lies outside the study region")
-    if record_end is None:
-        record_end = float(t.max()) if len(t) else record_start + 1.0
-        if record_end <= record_start:
-            record_end = record_start + 1.0
-    k = _first_outside_record(t, record_start, record_end)
-    if k is not None and record_end > record_start:
-        raise ValidationError(f"row {rows[k]}: time {t[k]:g} falls outside the record "
-                              f"span [{record_start:g}, {record_end:g}]")
+        t, x, y, m = np.array(values, dtype=float).reshape(-1, 4).T
+        if region is None:
+            region = _bounding_region(x, y)
+        else:
+            outside = np.flatnonzero(~np.asarray(region.contains(x, y), bool))
+            if len(outside):
+                k = int(outside[0])
+                raise ValidationError(f"row {rows[k]}: epicentre ({x[k]:g}, {y[k]:g}) "
+                                      "lies outside the study region")
+        if record_end is None:
+            record_end = float(t.max()) if len(t) else record_start + 1.0
+            if record_end <= record_start:
+                record_end = record_start + 1.0
+        k = _first_outside_record(t, record_start, record_end)
+        if k is not None and record_end > record_start:
+            raise ValidationError(f"row {rows[k]}: time {t[k]:g} falls outside the record "
+                                  f"span [{record_start:g}, {record_end:g}]")
     return Catalog(t, x, y, m, record_start, record_end, region)
 
 
@@ -258,16 +313,9 @@ def _bounding_region(xs: np.ndarray, ys: np.ndarray) -> Rectangle:
 
 def serialize_earthquakes(catalog: Catalog, destination=None) -> str | None:
     """Write a catalog back to CSV; returns the text when no destination."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EARTHQUAKE_HEADER)
-    for row in zip(catalog.times, catalog.xs, catalog.ys, catalog.magnitudes):
-        writer.writerow([repr(float(v)) for v in row])
-    text = buf.getvalue()
-    if destination is None:
-        return text
-    Path(destination).write_text(text, encoding="utf-8")
-    return None
+    columns = (catalog.times, catalog.xs, catalog.ys, catalog.magnitudes)
+    return _write_table(EARTHQUAKE_HEADER, zip(*(c.tolist() for c in columns)),
+                        destination)
 
 
 def parse_predictions(source, polygons=None) -> list[Prediction]:
@@ -296,27 +344,17 @@ def parse_predictions(source, polygons=None) -> list[Prediction]:
         except (TypeError, ValueError) as exc:  # includes JSON and ValidationError
             raise ValidationError(f"{name}: {exc}") from None
 
-    fh = _open_text(source)
-    try:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PREDICTION_HEADER:
-            raise ValidationError(
-                f"prediction CSV must start with header {','.join(PREDICTION_HEADER)!r}")
-        preds = []
-        for i, rowvals in enumerate(reader, start=1):
-            if not rowvals or all(not c.strip() for c in rowvals):
-                continue
-            if len(rowvals) != 7:
-                raise ValidationError(f"row {i}: expected 7 fields, got {len(rowvals)}")
-            issue = _parse_float(rowvals[0], i, "issue_time")
-            ws = _parse_float(rowvals[1], i, "window_start")
-            we = _parse_float(rowvals[2], i, "window_end")
-            circle_cells = [c.strip() for c in rowvals[3:6]]
+    preds = []
+    with _read_table(source, PREDICTION_HEADER) as table:
+        for i, cells in table:
+            issue = _parse_float(cells[0], i, "issue_time")
+            ws = _parse_float(cells[1], i, "window_start")
+            we = _parse_float(cells[2], i, "window_end")
+            circle_cells = [c.strip() for c in cells[3:6]]
             if all(circle_cells):
-                region: Region = Circle(_parse_float(rowvals[3], i, "cx"),
-                                        _parse_float(rowvals[4], i, "cy"),
-                                        _parse_float(rowvals[5], i, "radius"))
+                region: Region = Circle(_parse_float(cells[3], i, "cx"),
+                                        _parse_float(cells[4], i, "cy"),
+                                        _parse_float(cells[5], i, "radius"))
             elif any(circle_cells):
                 raise ValidationError(
                     f"row {i}: cx, cy and radius must be all present or all empty")
@@ -327,28 +365,22 @@ def parse_predictions(source, polygons=None) -> list[Prediction]:
                         f"row {i}: no circle columns and no polygon sidecar entry "
                         f"for row index {row_index}")
                 region = poly_map[row_index]
-            mmin = _parse_float(rowvals[6], i, "min_magnitude")
+            mmin = _parse_float(cells[6], i, "min_magnitude")
             try:
                 preds.append(Prediction(issue, ws, we, region, mmin))
             except ValidationError as exc:
                 raise ValidationError(f"row {i}: {exc}") from None
-    finally:
-        if isinstance(source, (str, Path)):
-            fh.close()
     return preds
 
 
 def serialize_predictions(predictions: Sequence[Prediction],
                           destination=None) -> tuple[str, dict] | None:
     """Write predictions to CSV text plus a polygon sidecar mapping."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PREDICTION_HEADER)
+    rows = []
     sidecar: dict[str, list] = {}
     for i, p in enumerate(predictions):
         if isinstance(p.region, Circle):
-            circ = [repr(float(p.region.cx)), repr(float(p.region.cy)),
-                    repr(float(p.region.radius))]
+            circ = [float(p.region.cx), float(p.region.cy), float(p.region.radius)]
         else:
             circ = ["", "", ""]
             if isinstance(p.region, ConvexPolygon):
@@ -356,13 +388,11 @@ def serialize_predictions(predictions: Sequence[Prediction],
             else:
                 raise ValidationError(
                     "prediction CSV rows carry circles or polygons, not rectangles")
-        writer.writerow([repr(float(p.issue_time)), repr(float(p.window_start)),
-                         repr(float(p.window_end)), *circ,
-                         repr(float(p.min_magnitude))])
-    text = buf.getvalue()
+        rows.append([float(p.issue_time), float(p.window_start), float(p.window_end),
+                     *circ, float(p.min_magnitude)])
+    text = _write_table(PREDICTION_HEADER, rows, destination)
     if destination is None:
         return text, sidecar
-    Path(destination).write_text(text, encoding="utf-8")
     if sidecar:
         Path(destination).with_suffix(".regions.json").write_text(
             json.dumps(sidecar), encoding="utf-8")
@@ -449,15 +479,7 @@ def filter_aftershocks(catalog: Catalog, policy: AftershockPolicy) -> FilterResu
 
 def serialize_exclusions(result: FilterResult, destination=None) -> str | None:
     """Audit CSV for a filter run: original row, event fields, culprit row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["index", "time", "x", "y", "magnitude", "excluded_by"])
-    for rec in result.excluded:
-        writer.writerow([rec.index, repr(float(rec.time)), repr(float(rec.x)),
-                         repr(float(rec.y)), repr(float(rec.magnitude)),
-                         rec.excluded_by])
-    text = buf.getvalue()
-    if destination is None:
-        return text
-    Path(destination).write_text(text, encoding="utf-8")
-    return None
+    rows = ([r.index, r.time, r.x, r.y, r.magnitude, r.excluded_by]
+            for r in result.excluded)
+    return _write_table(["index", "time", "x", "y", "magnitude", "excluded_by"],
+                        rows, destination)

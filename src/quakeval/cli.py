@@ -14,15 +14,13 @@ inconsistent files), 1 any other failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .catalog import (AftershockPolicy, Catalog, filter_aftershocks,
+from .catalog import (AftershockPolicy, Catalog, _write_table, filter_aftershocks,
                       parse_earthquakes, parse_predictions,
                       serialize_earthquakes, serialize_exclusions)
 from .errors import QuakevalError, ValidationError
@@ -215,13 +213,10 @@ def _cmd_simulate(args) -> dict:
     sim = empirical_significance(model, predictions, args.replicates,
                                  exclude_injected=args.exclude_injected)
     if args.samples_out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["replicate", "n_successes", "exact_significance"])
-        for r, (count, level) in enumerate(zip(sim.success_counts,
-                                               sim.summary.samples)):
-            writer.writerow([r, int(count), repr(float(level))])
-        Path(args.samples_out).write_text(buf.getvalue(), encoding="utf-8")
+        _write_table(["replicate", "n_successes", "exact_significance"],
+                     zip(range(len(sim.success_counts)), sim.success_counts.tolist(),
+                         sim.summary.samples.tolist()),
+                     args.samples_out)
     config.update({"n_events": args.n_events, "span": args.span,
                    "density": args.density, "predictions": args.predictions,
                    "clustering": args.clustering,

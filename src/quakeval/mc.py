@@ -316,14 +316,15 @@ def empirical_tau_moments(t: float, n: int, span: float, replicates: int,
 
 
 def _suppressed_times(ev: np.ndarray, m: int, span: float, delta: float,
-                      rng: np.random.Generator, shared: bool) -> np.ndarray:
+                      rng: np.random.Generator) -> np.ndarray:
     """Signal times uniform on the record minus the deadtime after events.
 
-    The allowed set is [0, span] with [e, e + delta] removed after every
-    event e; its components are [0, e_1) and the post-deadtime remainder
-    of each inter-event gap.  Sampling by inverse CDF over the component
-    lengths draws exactly the conditional-uniform law, with no rejection
-    loop to stall when the allowed set is tiny.
+    ``ev`` holds one sorted record per signal, or a single record that
+    all m signals share.  The allowed set is [0, span] with [e, e + delta]
+    removed after every event e; its components are [0, e_1) and the
+    post-deadtime remainder of each inter-event gap.  Sampling by inverse
+    CDF over the component lengths draws exactly the conditional-uniform
+    law, with no rejection loop to stall when the allowed set is tiny.
     """
     n_rows = len(ev)
     starts = np.concatenate([np.zeros((n_rows, 1)), ev + delta], axis=1)
@@ -333,14 +334,9 @@ def _suppressed_times(ev: np.ndarray, m: int, span: float, delta: float,
     if (total <= 0).any():
         raise QuakevalError("the suppression window blankets the whole record")
     cum = np.cumsum(lens, axis=1)
-    if shared:
-        u = rng.random(m) * total[0]
-        comp = np.searchsorted(cum[0], u, side="right")
-        prior = np.where(comp > 0, cum[0, np.maximum(comp - 1, 0)], 0.0)
-        return starts[0, comp] + (u - prior)
     u = rng.random(m) * total
     comp = (u[:, None] >= cum).sum(axis=1)
-    rows = np.arange(m)
+    rows = np.arange(n_rows)  # broadcasts against the m signals
     prior = np.where(comp > 0, cum[rows, np.maximum(comp - 1, 0)], 0.0)
     return starts[rows, comp] + (u - prior)
 
@@ -377,30 +373,19 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
 
     cols = n_events - 1
     zs = np.empty(replicates)
-    rows = np.arange(m)
+    n_rows = 1 if shared_catalog else m
+    rows = np.arange(n_rows)  # broadcasts against the m signals
     for r in range(replicates):
         rng = child_rng(seed, r)
-        if shared_catalog:
-            ev = np.sort(rng.random(cols) * span)
-            if delta is not None:
-                t = _suppressed_times(ev[None, :], m, span, delta, rng,
-                                      shared=True)
-            else:
-                t = rng.random(m) * span
-            k = np.searchsorted(ev, t, side="left")
-            has_next = k < cols
-            nxt = ev[np.minimum(k, cols - 1)]
-            tau = np.where(has_next, nxt - t, span - t)
+        ev = np.sort(rng.random((n_rows, cols)) * span, axis=1)
+        if delta is not None:
+            t = _suppressed_times(ev, m, span, delta, rng)
         else:
-            ev = np.sort(rng.random((m, cols)) * span, axis=1)
-            if delta is not None:
-                t = _suppressed_times(ev, m, span, delta, rng, shared=False)
-            else:
-                t = rng.random(m) * span
-            k = (ev < t[:, None]).sum(axis=1)
-            has_next = k < cols
-            nxt = ev[rows, np.minimum(k, cols - 1)]
-            tau = np.where(has_next, nxt - t, span - t)
+            t = rng.random(m) * span
+        k = (ev < t[:, None]).sum(axis=1)
+        has_next = k < cols
+        nxt = ev[rows, np.minimum(k, cols - 1)]
+        tau = np.where(has_next, nxt - t, span - t)
         e_y = float(np.sum(tau_mean(t, n_events, span)))
         var_y = float(np.sum(tau_var(t, n_events, span)))
         zs[r] = (float(tau.sum()) - e_y) / math.sqrt(var_y)

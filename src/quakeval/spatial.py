@@ -26,8 +26,6 @@ sibling CSV (``points_ref``) rather than embedding them.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -37,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.optimize import minimize
 
-from .catalog import _parse_float
+from .catalog import _parse_float, _read_table, _write_table
 from .errors import FitError, ValidationError
 from .regions import (_EVAL_CHUNK, Region, contains_region, region_from_dict,
                       sample_inside)
@@ -281,29 +279,25 @@ SpatialDensity = Union[ParametricDensity, KernelDensity]
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a parametric fit.
-
-    ``loglik_path`` records the best objective seen at each accepted
-    simplex step; it never decreases.
-    """
+    """Outcome of a parametric fit."""
 
     density: ParametricDensity
     loglik: float
     loglik_uniform: float
     converged: bool
     n_evaluations: int
-    loglik_path: tuple[float, ...]
 
 
-def fit_parametric(points, region: Region, max_iterations: int = 10_000,
-                   ftol: float = 1e-9) -> FitResult:
+_SIMPLEX_FTOL = 1e-9  # relative function tolerance of the simplex stopping rule
+
+
+def fit_parametric(points, region: Region, max_iterations: int = 10_000) -> FitResult:
     """Maximum-likelihood fit of the floor-plus-bump density.
 
     Args:
         points: observed epicentres, shape (n, 2), n >= 10, inside region.
         region: normalization domain.
         max_iterations: simplex iteration cap per pass (two passes run).
-        ftol: relative function tolerance for the simplex stopping rule.
 
     Returns:
         FitResult.  The fitted log-likelihood is never below the uniform
@@ -362,20 +356,11 @@ def fit_parametric(points, region: Region, max_iterations: int = 10_000,
     theta = np.array([mean[0], mean[1], math.log(max(low0[0, 0], 1e-12)),
                       math.log(max(low0[1, 1], 1e-12)), low0[1, 0], 0.5])
 
-    path: list[float] = []
-    best_seen = [np.inf]
-
-    def track(xk):
-        val = nll(xk)
-        if val < best_seen[0]:
-            best_seen[0] = val
-        path.append(-best_seen[0])
-
     converged = False
     n_eval = 0
     for _ in range(2):
-        fatol = ftol * max(1.0, abs(nll(theta)))
-        res = minimize(nll, theta, method="Nelder-Mead", callback=track,
+        fatol = _SIMPLEX_FTOL * max(1.0, abs(nll(theta)))
+        res = minimize(nll, theta, method="Nelder-Mead",
                        options={"maxiter": max_iterations, "maxfev": 4 * max_iterations,
                                 "fatol": fatol, "xatol": 1e-8})
         theta = res.x
@@ -391,7 +376,7 @@ def fit_parametric(points, region: Region, max_iterations: int = 10_000,
     if ll_fit < ll_uniform:
         best = ParametricDensity.from_mixture(centre, q, 0.0, region)
         ll_fit = ll_uniform
-    return FitResult(best, ll_fit, ll_uniform, converged, n_eval, tuple(path))
+    return FitResult(best, ll_fit, ll_uniform, converged, n_eval)
 
 
 def fit_kde(points, region: Region) -> KernelDensity:
@@ -454,7 +439,7 @@ def save_density(density: SpatialDensity, path) -> None:
     path = Path(path)
     if isinstance(density, KernelDensity):
         ref = path.stem + ".points.csv"
-        _write_points_csv(path.parent / ref, density.points)
+        _write_table(["x", "y"], density.points.tolist(), path.parent / ref)
         payload = density.to_dict(points_ref=ref)
     else:
         payload = density.to_dict()
@@ -462,28 +447,6 @@ def save_density(density: SpatialDensity, path) -> None:
 
 
 def _read_points_csv(path: Path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y"]:
-            raise ValidationError(f"{path}: points CSV must have header 'x,y'")
-        rows = []
-        for i, r in enumerate(reader, start=1):
-            if not r:
-                continue
-            if len(r) != 2:
-                raise ValidationError(f"{path}: row {i}: expected 2 fields, got {len(r)}")
-            try:
-                rows.append((_parse_float(r[0], i, "x"), _parse_float(r[1], i, "y")))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: {exc}") from None
+    with _read_table(path, ["x", "y"]) as table:
+        rows = [(_parse_float(x, i, "x"), _parse_float(y, i, "y")) for i, (x, y) in table]
     return np.asarray(rows, dtype=float).reshape(-1, 2)
-
-
-def _write_points_csv(path: Path, points: np.ndarray) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "y"])
-    for px, py in points:
-        writer.writerow([repr(float(px)), repr(float(py))])
-    path.write_text(buf.getvalue(), encoding="utf-8")

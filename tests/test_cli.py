@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +274,44 @@ def test_malformed_kde_points_exit_2(tmp_path, capsys, row, message):
                 "--density", str(model)])
     assert code == 2
     assert f"{points}: {message}" in capsys.readouterr().err
+
+
+def _significance_with_bad_row(tmp_path, capsys, kind, bad_row):
+    """Significance arguments that read a copy of the ``kind`` input CSV
+    whose data row 3 is replaced by ``bad_row``, and the copy's path."""
+    files = {"earthquakes": EQ, "predictions": PRED}
+    density = []
+    if kind == "points":
+        model = tmp_path / "kde.json"
+        assert run(["fit-density", *_base_args(), "--kind", "kde",
+                    "--model-out", str(model)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "kde.points.csv"
+        density = ["--density", str(model)]
+    else:
+        path = tmp_path / f"{kind}.csv"
+        path.write_bytes(Path(files[kind]).read_bytes())
+        files[kind] = str(path)
+    lines = path.read_bytes().splitlines()
+    lines[3] = bad_row
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    argv = ["significance", "--earthquakes", files["earthquakes"], "--region", REGION,
+            "--record-start", "0", "--record-end", "1000",
+            "--predictions", files["predictions"], *density]
+    return argv, path
+
+
+@pytest.mark.parametrize("kind", ["earthquakes", "predictions", "points"])
+@pytest.mark.parametrize("bad_row, message", [
+    (b"1,2,\xff,4", "text is not UTF-8"),
+    (b"1," + b"9" * 140_000 + b",3", "row 3: field larger than field limit"),
+], ids=["non-utf8", "long-field"])
+def test_undecodable_or_oversized_csv_exits_2(tmp_path, capsys, kind, bad_row, message):
+    argv, path = _significance_with_bad_row(tmp_path, capsys, kind, bad_row)
+    assert run(argv) == 2
+    assert f"{path}: {message}" in capsys.readouterr().err
+
+
+def test_blank_kde_points_row_is_skipped(tmp_path, capsys):
+    argv, _ = _significance_with_bad_row(tmp_path, capsys, "points", b",")
+    assert run(argv) == 0
