@@ -4,7 +4,8 @@ File formats
 ------------
 Every CSV the package reads or writes follows the same rules:
 
-* The text is UTF-8 with a ``.`` decimal separator.
+* The text is UTF-8 with a ``.`` decimal separator.  A leading
+  byte-order mark, as spreadsheet programs write, is skipped.
 * The first row is the exact header (cells are compared after stripping
   whitespace).
 * Data rows are numbered from 1 in file order.  A row whose cells are
@@ -196,12 +197,12 @@ def _parse_float(text: str, row: int, column: str) -> float:
 def _read_table(source, header: Sequence[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
     """Open a CSV table that follows the rules in the module docstring.
 
-    ``source`` is a path, opened as UTF-8, or an open text handle.  The
-    with-block receives an iterator that streams the data rows as
-    (1-based row number, cells).  Every ``ValidationError`` raised in
-    the block, by the reader or by the caller, is prefixed with the path
-    when ``source`` is one; undecodable bytes and CSV syntax errors are
-    turned into such errors.
+    ``source`` is a path, opened as UTF-8 with any leading byte-order
+    mark skipped, or an open text handle.  The with-block receives an
+    iterator that streams the data rows as (1-based row number, cells).
+    Every ``ValidationError`` raised in the block, by the reader or by
+    the caller, is prefixed with the path when ``source`` is one;
+    undecodable bytes and CSV syntax errors are turned into such errors.
     """
     row = None  # the last row read; None until the header has been read
 
@@ -218,7 +219,7 @@ def _read_table(source, header: Sequence[str]) -> Iterator[Iterator[tuple[int, l
     is_path = isinstance(source, (str, Path))
     prefix = f"{source}: " if is_path else ""
     try:
-        with (open(source, encoding="utf-8", newline="") if is_path
+        with (open(source, encoding="utf-8-sig", newline="") if is_path
               else nullcontext(source)) as fh:
             reader = csv.reader(fh)
             first = next(reader, None)

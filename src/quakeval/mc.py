@@ -14,6 +14,13 @@ depend on execution order and any single replicate can be regenerated
 in isolation.  The delay-moment helper uses one sequential stream
 (replicates there are rows of a matrix, not catalogs).
 
+Each replicate's draws, their order and their shapes, are fixed;
+evaluation does not touch them.  Synthetic catalogs stay in draw order,
+with no time sort, since ``count_hits`` sorts each alarm group's
+qualifying times itself.  ``null_zscores`` fills a block of replicates
+with their draws and then scores the whole block with one set of array
+operations, bit for bit as a loop over replicates would.
+
 The delay-law simulations draw N - 1 event times for law parameter N:
 conditioning on a signal inside a record of N uniform events leaves
 N - 1 events interchangeable with the signal's position.
@@ -104,7 +111,8 @@ def _offset_into_region(base: np.ndarray, spread: float, region,
 
 
 def _simulate_arrays(model: NullModel, rng: np.random.Generator):
-    """One catalog as raw arrays: times (sorted), xy, magnitudes, follower mask."""
+    """One catalog as raw arrays in draw order, background events first:
+    times, xy, magnitudes, follower mask.  Nothing is sorted by time."""
     n = model.n_events
     cl = model.clustering
     n_inj = int(round(cl.fraction * n)) if cl is not None else 0
@@ -125,13 +133,13 @@ def _simulate_arrays(model: NullModel, rng: np.random.Generator):
         injected[n_bg:] = True
     else:
         times, xy, injected = bg_t, bg_xy, np.zeros(n_bg, dtype=bool)
-    order = np.argsort(times, kind="stable")
     mags = np.where(injected, INJECTED_MAGNITUDE, BACKGROUND_MAGNITUDE)
-    return times[order], xy[order], mags[order], injected[order]
+    return times, xy, mags, injected
 
 
 def simulate_null_catalog(model: NullModel, replicate: int = 0) -> Catalog:
-    """Build one synthetic catalog as a full Catalog object."""
+    """Build one synthetic catalog as a full Catalog object (which sorts
+    the events by time, stably)."""
     rng = child_rng(model.seed, replicate)
     times, xy, mags, _ = _simulate_arrays(model, rng)
     return Catalog(times, xy[:, 0], xy[:, 1], mags, record_start=0.0,
@@ -258,7 +266,8 @@ def empirical_significance(model: NullModel, predictions: list[Prediction],
         if exclude_injected and injected.any():
             keep = ~injected
             times, xy, mags = times[keep], xy[keep], mags[keep]
-        counts[r] = count_hits(groups, times, xy[:, 0], xy[:, 1], mags)
+        xs, ys = np.ascontiguousarray(xy.T)  # region tests run faster on unit strides
+        counts[r] = count_hits(groups, times, xs, ys, mags)
         levels[r] = tails[counts[r]]
 
     summary = SimulationSummary.from_samples("exact_significance", levels,
@@ -315,30 +324,45 @@ def empirical_tau_moments(t: float, n: int, span: float, replicates: int,
                       math.sqrt(max(var_of_var, 0.0)), replicates)
 
 
-def _suppressed_times(ev: np.ndarray, m: int, span: float, delta: float,
-                      rng: np.random.Generator) -> np.ndarray:
+def _suppressed_times(ev: np.ndarray, u: np.ndarray, span: float,
+                      delta: float) -> np.ndarray:
     """Signal times uniform on the record minus the deadtime after events.
 
-    ``ev`` holds one sorted record per signal, or a single record that
-    all m signals share.  The allowed set is [0, span] with [e, e + delta]
-    removed after every event e; its components are [0, e_1) and the
-    post-deadtime remainder of each inter-event gap.  Sampling by inverse
-    CDF over the component lengths draws exactly the conditional-uniform
-    law, with no rejection loop to stall when the allowed set is tiny.
+    ``ev`` holds a block of replicates, shape (block, rows, n - 1): per
+    replicate one sorted record per signal, or a single record (rows = 1)
+    that all m signals share.  ``u`` holds each replicate's m raw
+    uniforms, shape (block, m).  The allowed set is [0, span] with
+    [e, e + delta] removed after every event e; its components are
+    [0, e_1) and the post-deadtime remainder of each inter-event gap.
+    Sampling by inverse CDF over the component lengths draws exactly the
+    conditional-uniform law, with no rejection loop to stall when the
+    allowed set is tiny.
     """
-    n_rows = len(ev)
-    starts = np.concatenate([np.zeros((n_rows, 1)), ev + delta], axis=1)
-    ends = np.concatenate([ev, np.full((n_rows, 1), span)], axis=1)
-    lens = np.clip(ends - starts, 0.0, None)
-    total = lens.sum(axis=1)
+    n_block, n_rows, cols = ev.shape
+    reopen = ev + delta  # component j > 0 starts where event j - 1's deadtime ends
+    lens = np.empty((n_block, n_rows, cols + 1))
+    lens[..., 0] = ev[..., 0]
+    np.subtract(ev[..., 1:], reopen[..., :-1], out=lens[..., 1:-1])
+    np.subtract(span, reopen[..., -1], out=lens[..., -1])
+    np.clip(lens, 0.0, None, out=lens)
+    total = lens.sum(axis=2)
     if (total <= 0).any():
         raise QuakevalError("the suppression window blankets the whole record")
-    cum = np.cumsum(lens, axis=1)
-    u = rng.random(m) * total
-    comp = (u[:, None] >= cum).sum(axis=1)
+    cum = np.cumsum(lens, axis=2, out=lens)
+    v = u * total
+    comp = (v[..., None] >= cum).sum(axis=2)
+    reps = np.arange(n_block)[:, None]
     rows = np.arange(n_rows)  # broadcasts against the m signals
-    prior = np.where(comp > 0, cum[rows, np.maximum(comp - 1, 0)], 0.0)
-    return starts[rows, comp] + (u - prior)
+    before = np.maximum(comp - 1, 0)
+    prior = np.where(comp > 0, cum[reps, rows, before], 0.0)
+    start = np.where(comp > 0, reopen[reps, rows, before], 0.0)
+    return start + (v - prior)
+
+
+# A block of delay replicates holds about this many (signal, event) pairs,
+# at least one replicate's worth.  Blocks four times as large scored the
+# plain `calibrate` delays about 15 % faster but raised peak memory 1.3 MB.
+_BLOCK_DOUBLES = 16_384
 
 
 def null_zscores(m: int, n_events: int, span: float, replicates: int,
@@ -358,6 +382,9 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
     uniformly from the rest of the record by inverse CDF (see
     ``_suppressed_times``).  Suppressed signals cluster in the stretch
     before an upcoming event, which drags z negative.
+
+    Replicate r draws its event records, then its m signal uniforms, from
+    ``child_rng(seed, r)``; replicates are then scored a block at a time.
     """
     if m < 1:
         raise ValidationError("need at least one signal per replicate")
@@ -372,21 +399,26 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
         raise ValidationError("suppression window must lie in (0, span)")
 
     cols = n_events - 1
-    zs = np.empty(replicates)
     n_rows = 1 if shared_catalog else m
+    block = min(replicates, max(1, _BLOCK_DOUBLES // (m * cols)))
+    ev_buf = np.empty((block, n_rows, cols))
+    u_buf = np.empty((block, m))
     rows = np.arange(n_rows)  # broadcasts against the m signals
-    for r in range(replicates):
-        rng = child_rng(seed, r)
-        ev = np.sort(rng.random((n_rows, cols)) * span, axis=1)
-        if delta is not None:
-            t = _suppressed_times(ev, m, span, delta, rng)
-        else:
-            t = rng.random(m) * span
-        k = (ev < t[:, None]).sum(axis=1)
-        has_next = k < cols
-        nxt = ev[rows, np.minimum(k, cols - 1)]
-        tau = np.where(has_next, nxt - t, span - t)
-        e_y = float(np.sum(tau_mean(t, n_events, span)))
-        var_y = float(np.sum(tau_var(t, n_events, span)))
-        zs[r] = (float(tau.sum()) - e_y) / math.sqrt(var_y)
+    zs = np.empty(replicates)
+    for first in range(0, replicates, block):
+        n_block = min(block, replicates - first)
+        ev, u = ev_buf[:n_block], u_buf[:n_block]
+        for i in range(n_block):
+            rng = child_rng(seed, first + i)
+            rng.random(out=ev[i])
+            rng.random(out=u[i])
+        ev *= span
+        ev.sort(axis=2)
+        t = u * span if delta is None else _suppressed_times(ev, u, span, delta)
+        k = (ev < t[..., None]).sum(axis=2)
+        nxt = ev[np.arange(n_block)[:, None], rows, np.minimum(k, cols - 1)]
+        tau = np.where(k < cols, nxt - t, span - t)
+        e_y = tau_mean(t, n_events, span).sum(axis=1)
+        var_y = tau_var(t, n_events, span).sum(axis=1)
+        zs[first:first + n_block] = (tau.sum(axis=1) - e_y) / np.sqrt(var_y)
     return SimulationSummary.from_samples("delay_z", zs, uniform_ks=False)

@@ -153,13 +153,14 @@ def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
                ys: np.ndarray, mags: np.ndarray) -> int:
     """Number of predictions with a qualifying event in window and region.
 
-    ``groups`` comes from ``alarm_groups``; the event columns must be
-    sorted by time.  Windows are inclusive at both ends and magnitudes
-    qualify at the threshold.
+    ``groups`` comes from ``alarm_groups``; the event columns may come
+    in any order, as each group sorts the times of its qualifying events.
+    Windows are inclusive at both ends and magnitudes qualify at the
+    threshold.
     """
     hits = 0
     for region, min_mag, starts, ends in groups:
-        ev = times[(mags >= min_mag) & region.contains(xs, ys)]
+        ev = np.sort(times[(mags >= min_mag) & region.contains(xs, ys)])
         lo = np.searchsorted(ev, starts, side="left")
         hi = np.searchsorted(ev, ends, side="right")
         hits += int(np.count_nonzero(hi > lo))
@@ -186,13 +187,17 @@ def poisson_binomial_pmf(probs) -> np.ndarray:
 
 
 def exact_poisson_binomial(probs, k: int) -> float:
-    """Exact tail P(X >= k) for the Poisson-binomial count."""
+    """Exact tail P(X >= k) for the Poisson-binomial count.
+
+    The pmf's rounding can carry its sum a few ulps past one; the tail is
+    capped there, so it is always a probability.
+    """
     pmf = poisson_binomial_pmf(probs)
     if k <= 0:
         return 1.0
     if k >= len(pmf):
         return 0.0
-    return float(pmf[k:].sum())
+    return min(float(pmf[k:].sum()), 1.0)
 
 
 def _aggregates(probs) -> tuple[np.ndarray, float, float]:

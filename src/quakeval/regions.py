@@ -333,7 +333,7 @@ def sample_inside(region: Region, count: int,
         if filled >= count:
             return out
         cand = propose(count - filled)
-        keep = cand[np.asarray(region.contains(cand[:, 0], cand[:, 1]), bool)]
+        keep = np.compress(region.contains(cand[:, 0], cand[:, 1]), cand, axis=0)
         take = min(len(keep), count - filled)
         out[filled:filled + take] = keep[:take]
         filled += take

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .catalog import _parse_float, _read_table, _write_table
-from .errors import FitError, ValidationError
+from .errors import FitError, QuakevalError, ValidationError
 from .regions import (_EVAL_CHUNK, Region, contains_region, region_from_dict,
                       sample_inside)
 
@@ -74,6 +74,13 @@ def _bump_mass(region: Region, x_c: np.ndarray, q: np.ndarray) -> float:
     times the mass of N(x_c, (2Q)^-1) there."""
     gauss = region.gaussian_mass(np.reshape(x_c, (1, 2)), np.linalg.inv(2.0 * q))
     return math.pi / math.sqrt(np.linalg.det(q)) * float(gauss[0])
+
+
+def _probability(mass: float) -> float:
+    """A computed region mass clipped to [0, 1]; NaN or inf is an error."""
+    if not math.isfinite(mass):
+        raise QuakevalError(f"region mass came out as {mass!r}, not a finite number")
+    return min(max(mass, 0.0), 1.0)
 
 
 class ParametricDensity:
@@ -146,7 +153,7 @@ class ParametricDensity:
         mass = self.p0 * subregion.area
         if self.p1 > 0:
             mass += self.p1 * _bump_mass(subregion, self.x_c, self.q_matrix)
-        return min(max(mass, 0.0), 1.0)
+        return _probability(mass)
 
     def log_likelihood(self, points) -> float:
         return float(np.sum(np.log(np.clip(self.evaluate(points), 1e-300, None))))
@@ -160,10 +167,11 @@ class ParametricDensity:
         """Draw ``count`` points using an existing generator."""
         out = np.empty((count, 2))
         comp_bump = rng.random(count) < self.weight
-        n_bump = int(np.count_nonzero(comp_bump))
+        bump_idx = np.flatnonzero(comp_bump)
+        n_bump = len(bump_idx)
         n_unif = count - n_bump
         if n_unif:
-            out[~comp_bump] = self.region.sample_uniform(n_unif, rng)
+            out[np.flatnonzero(~comp_bump)] = self.region.sample_uniform(n_unif, rng)
         if n_bump:
             chol = np.linalg.cholesky(np.linalg.inv(2.0 * self.q_matrix))
 
@@ -171,7 +179,7 @@ class ParametricDensity:
                 z = rng.standard_normal((max(64, 2 * remaining), 2))
                 return self.x_c + z @ chol.T
 
-            out[comp_bump] = sample_inside(self.region, n_bump, propose)
+            out[bump_idx] = sample_inside(self.region, n_bump, propose)
         return out
 
     def to_dict(self) -> dict:
@@ -244,8 +252,7 @@ class KernelDensity:
     def integrate(self, subregion: Region) -> float:
         if not contains_region(self.region, subregion):
             raise ValidationError("subregion escapes the model's region")
-        mass = self._raw_mass(subregion) / self.normalization
-        return min(max(mass, 0.0), 1.0)
+        return _probability(self._raw_mass(subregion) / self.normalization)
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -416,7 +423,7 @@ def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensit
         path = Path(ref)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        pts = _read_points_csv(path)
+        pts = _read_points_csv(path, region)
         bw = np.asarray(data["bandwidth"], dtype=float).reshape(2, 2)
         return KernelDensity(pts, bw, region)
     raise ValidationError(f"unknown density type {kind!r}")
@@ -446,7 +453,21 @@ def save_density(density: SpatialDensity, path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_points_csv(path: Path) -> np.ndarray:
+def _read_points_csv(path: Path, region: Region) -> np.ndarray:
+    """Kernel points from a CSV; there must be one at least, and each must
+    lie inside ``region``.  Errors name the file, and the row if one is
+    at fault."""
     with _read_table(path, ["x", "y"]) as table:
-        rows = [(_parse_float(x, i, "x"), _parse_float(y, i, "y")) for i, (x, y) in table]
-    return np.asarray(rows, dtype=float).reshape(-1, 2)
+        rows, values = [], []
+        for i, (x, y) in table:
+            rows.append(i)
+            values.append((_parse_float(x, i, "x"), _parse_float(y, i, "y")))
+        pts = np.asarray(values, dtype=float).reshape(-1, 2)
+        if not len(pts):
+            raise ValidationError("kernel density needs at least one point")
+        outside = np.flatnonzero(~np.asarray(region.contains(pts[:, 0], pts[:, 1]), bool))
+        if len(outside):
+            k = int(outside[0])
+            raise ValidationError(f"row {rows[k]}: kernel point ({pts[k, 0]:g}, "
+                                  f"{pts[k, 1]:g}) lies outside the model's region")
+    return pts

@@ -276,9 +276,10 @@ def test_malformed_kde_points_exit_2(tmp_path, capsys, row, message):
     assert f"{points}: {message}" in capsys.readouterr().err
 
 
-def _significance_with_bad_row(tmp_path, capsys, kind, bad_row):
+def _significance_with_bad_row(tmp_path, capsys, kind, bad_row=None):
     """Significance arguments that read a copy of the ``kind`` input CSV
-    whose data row 3 is replaced by ``bad_row``, and the copy's path."""
+    whose data row 3 is replaced by ``bad_row`` (if given), and the
+    copy's path."""
     files = {"earthquakes": EQ, "predictions": PRED}
     density = []
     if kind == "points":
@@ -292,9 +293,10 @@ def _significance_with_bad_row(tmp_path, capsys, kind, bad_row):
         path = tmp_path / f"{kind}.csv"
         path.write_bytes(Path(files[kind]).read_bytes())
         files[kind] = str(path)
-    lines = path.read_bytes().splitlines()
-    lines[3] = bad_row
-    path.write_bytes(b"\n".join(lines) + b"\n")
+    if bad_row is not None:
+        lines = path.read_bytes().splitlines()
+        lines[3] = bad_row
+        path.write_bytes(b"\n".join(lines) + b"\n")
     argv = ["significance", "--earthquakes", files["earthquakes"], "--region", REGION,
             "--record-start", "0", "--record-end", "1000",
             "--predictions", files["predictions"], *density]
@@ -315,3 +317,27 @@ def test_undecodable_or_oversized_csv_exits_2(tmp_path, capsys, kind, bad_row, m
 def test_blank_kde_points_row_is_skipped(tmp_path, capsys):
     argv, _ = _significance_with_bad_row(tmp_path, capsys, "points", b",")
     assert run(argv) == 0
+
+
+@pytest.mark.parametrize("kind", ["earthquakes", "predictions", "points"])
+def test_byte_order_mark_is_skipped(tmp_path, capsys, kind):
+    argv, path = _significance_with_bad_row(tmp_path, capsys, kind)
+    assert run(argv) == 0
+    plain = capsys.readouterr().out
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_kde_points_csv_without_rows_exits_2(tmp_path, capsys):
+    argv, path = _significance_with_bad_row(tmp_path, capsys, "points")
+    path.write_text("x,y\n")
+    assert run(argv) == 2
+    assert f"{path}: kernel density needs at least one point" in capsys.readouterr().err
+
+
+def test_kde_point_outside_region_exits_2_naming_the_row(tmp_path, capsys):
+    argv, path = _significance_with_bad_row(tmp_path, capsys, "points", b"500.0,50.0")
+    assert run(argv) == 2
+    assert (f"{path}: row 3: kernel point (500, 50) lies outside the model's region"
+            in capsys.readouterr().err)

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from quakeval import (ClusteringParams, NullModel, ParametricDensity,
+from quakeval import (Circle, ClusteringParams, NullModel, ParametricDensity,
                       Prediction, Rectangle, SimulationSummary,
                       ValidationError, child_rng, empirical_significance,
                       empirical_tau_moments, ks_uniform_distance,
                       null_zscores, simulate_null_catalog, tau_mean, tau_var)
+from quakeval import mc
 from quakeval.mc import BACKGROUND_MAGNITUDE, INJECTED_MAGNITUDE
+from quakeval.nulltest import (alarm_groups, alarm_probabilities, count_hits,
+                               poisson_binomial_pmf)
 
 REGION = Rectangle(0.0, 100.0, 0.0, 100.0)
 UNIFORM = ParametricDensity.uniform(REGION)
@@ -199,3 +204,146 @@ def test_empirical_significance_validation():
     outside = [Prediction(900.0, 990.0, 1100.0, REGION, 5.0)]
     with pytest.raises(ValidationError):
         empirical_significance(model, outside, 10)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: one replicate at a time, each catalog sorted by time
+# before its hits are counted.  The Monte Carlo must reproduce them exactly.
+
+def _reference_catalog(model, rng):
+    n = model.n_events
+    cl = model.clustering
+    n_inj = int(round(cl.fraction * n)) if cl is not None else 0
+    n_bg = n - n_inj
+    bg_t = rng.random(n_bg) * model.span
+    bg_xy = model.spatial.sample_rng(n_bg, rng)
+    injected = np.zeros(n, dtype=bool)
+    times, xy = bg_t, bg_xy
+    if n_inj:
+        parent = rng.integers(0, n_bg, n_inj)
+        t_par = bg_t[parent]
+        trunc = -np.expm1(-(model.span - t_par) / cl.time_decay)
+        lag = -cl.time_decay * np.log1p(-rng.random(n_inj) * trunc)
+        inj_t = np.minimum(t_par + lag, model.span)
+        inj_xy = mc._offset_into_region(bg_xy[parent], cl.spatial_spread,
+                                        model.spatial.region, rng)
+        times = np.concatenate([bg_t, inj_t])
+        xy = np.concatenate([bg_xy, inj_xy])
+        injected[n_bg:] = True
+    order = np.argsort(times, kind="stable")
+    mags = np.where(injected, INJECTED_MAGNITUDE, BACKGROUND_MAGNITUDE)
+    return times[order], xy[order], mags[order], injected[order]
+
+
+def _reference_hits(predictions, times, xy, mags):
+    """Hits on a time-sorted catalog, with no sort of its own."""
+    hits = 0
+    for region, min_mag, starts, ends in alarm_groups(predictions):
+        ev = times[(mags >= min_mag) & region.contains(xy[:, 0], xy[:, 1])]
+        hits += int(np.count_nonzero(np.searchsorted(ev, ends, side="right")
+                                     > np.searchsorted(ev, starts, side="left")))
+    return hits
+
+
+def _reference_significance(model, predictions, replicates, exclude_injected):
+    pmf = poisson_binomial_pmf(alarm_probabilities(predictions, model.spatial,
+                                                   model.span, model.n_events))
+    tails = np.append(np.cumsum(pmf[::-1])[::-1], 0.0)
+    counts = np.empty(replicates, dtype=int)
+    for r in range(replicates):
+        times, xy, mags, injected = _reference_catalog(model, child_rng(model.seed, r))
+        if exclude_injected:
+            times, xy, mags = times[~injected], xy[~injected], mags[~injected]
+        counts[r] = _reference_hits(predictions, times, xy, mags)
+    return counts, tails[counts]
+
+
+def _reference_zscores(m, n_events, span, replicates, seed, delta, shared):
+    cols = n_events - 1
+    n_rows = 1 if shared else m
+    rows = np.arange(n_rows)
+    zs = np.empty(replicates)
+    for r in range(replicates):
+        rng = child_rng(seed, r)
+        ev = np.sort(rng.random((n_rows, cols)) * span, axis=1)
+        if delta is None:
+            t = rng.random(m) * span
+        else:
+            starts = np.concatenate([np.zeros((n_rows, 1)), ev + delta], axis=1)
+            ends = np.concatenate([ev, np.full((n_rows, 1), span)], axis=1)
+            lens = np.clip(ends - starts, 0.0, None)
+            cum = np.cumsum(lens, axis=1)
+            u = rng.random(m) * lens.sum(axis=1)
+            comp = (u[:, None] >= cum).sum(axis=1)
+            prior = np.where(comp > 0, cum[rows, np.maximum(comp - 1, 0)], 0.0)
+            t = starts[rows, comp] + (u - prior)
+        k = (ev < t[:, None]).sum(axis=1)
+        nxt = ev[rows, np.minimum(k, cols - 1)]
+        tau = np.where(k < cols, nxt - t, span - t)
+        e_y = float(np.sum(tau_mean(t, n_events, span)))
+        var_y = float(np.sum(tau_var(t, n_events, span)))
+        zs[r] = (float(tau.sum()) - e_y) / math.sqrt(var_y)
+    return zs
+
+
+def _zone_predictions(seed):
+    """Alarms over three circles and the whole region, mixed thresholds."""
+    rng = np.random.default_rng(seed)
+    zones = [Circle(30.0, 40.0, 15.0), Circle(70.0, 70.0, 25.0),
+             Circle(55.0, 20.0, 8.0), REGION]
+    preds = []
+    for j in range(40):
+        start = rng.uniform(0.0, 960.0)
+        preds.append(Prediction(start, start, start + rng.uniform(2.0, 40.0),
+                                zones[j % 4], float(rng.choice([4.0, 4.5, 5.0]))))
+    return preds
+
+
+BUMP = ParametricDensity.from_mixture((40.0, 60.0), np.diag([1 / 200.0, 1 / 450.0]),
+                                      0.5, REGION)
+
+
+@pytest.mark.parametrize("clustering, exclude", [
+    (None, False), (ClusteringParams(0.3, 10.0, 4.0), True)], ids=["plain", "clustered"])
+@pytest.mark.parametrize("replicates", [1, 23])
+def test_significance_replicates_equal_reference_loop(clustering, exclude, replicates):
+    model = NullModel(300, 1000.0, BUMP, clustering=clustering, seed=71)
+    preds = _zone_predictions(72)
+    sim = empirical_significance(model, preds, replicates, exclude_injected=exclude)
+    counts, levels = _reference_significance(model, preds, replicates, exclude)
+    assert np.array_equal(sim.success_counts, counts)
+    assert np.array_equal(sim.summary.samples, levels)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["independent", "shared"])
+@pytest.mark.parametrize("delta", [None, 60.0], ids=["plain", "suppressed"])
+@pytest.mark.parametrize("m, n_events", [(17, 37), (3, 600)])
+def test_delay_replicates_equal_reference_loop(shared, delta, m, n_events):
+    block = max(1, mc._BLOCK_DOUBLES // (m * (n_events - 1)))
+    replicates = 2 * block + 1  # two full blocks and a partial one
+    for reps in (1, replicates):
+        got = null_zscores(m, n_events, 1000.0, reps, seed=73,
+                           suppression_window=delta, shared_catalog=shared)
+        want = _reference_zscores(m, n_events, 1000.0, reps, 73, delta, shared)
+        assert np.array_equal(got.samples, want)
+
+
+def test_count_hits_ignores_event_order():
+    model = NullModel(400, 1000.0, BUMP, seed=74)
+    cat = simulate_null_catalog(model)
+    groups = alarm_groups(_zone_predictions(75))
+    sorted_hits = count_hits(groups, cat.times, cat.xs, cat.ys, cat.magnitudes)
+    shuffle = np.random.default_rng(76).permutation(len(cat))
+    shuffled_hits = count_hits(groups, cat.times[shuffle], cat.xs[shuffle],
+                               cat.ys[shuffle], cat.magnitudes[shuffle])
+    assert sorted_hits == shuffled_hits > 0
+
+
+def test_simulated_catalog_equals_reference():
+    clustering = ClusteringParams(0.3, 10.0, 4.0)
+    model = NullModel(300, 1000.0, BUMP, clustering=clustering, seed=77)
+    cat = simulate_null_catalog(model, replicate=5)
+    times, xy, mags, _ = _reference_catalog(model, child_rng(77, 5))
+    assert np.array_equal(cat.times, times)
+    assert np.array_equal(np.column_stack([cat.xs, cat.ys]), xy)
+    assert np.array_equal(cat.magnitudes, mags)

@@ -48,7 +48,7 @@ def _parses_or_rejects(workdir, kind: str, data: bytes) -> None:
         parse(path)
     except ValidationError as exc:
         # an error about the file's content names the file; the KDE's own
-        # checks on the points it was given (count, region) name no row
+        # check of its mass inside the region names no row
         assert str(exc).startswith(f"{path}: ") or "row" not in str(exc)
 
 

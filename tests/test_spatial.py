@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from quakeval import (Circle, ConvexPolygon, FitError, KernelDensity,
-                      ParametricDensity, Rectangle, ValidationError,
-                      fit_kde, fit_parametric, load_density, save_density)
+                      ParametricDensity, QuakevalError, Rectangle,
+                      ValidationError, fit_kde, fit_parametric, load_density,
+                      save_density)
+from quakeval import spatial
 
 REGION = Rectangle(0.0, 200.0, 0.0, 200.0)
 Q = np.array([[0.004, 0.001], [0.001, 0.003]])
@@ -238,3 +240,15 @@ def test_narrow_kernels_keep_their_mass():
     kde = KernelDensity([[500.0, 500.0], [200.0, 700.0]], np.eye(2) * 0.04, square)
     assert kde.normalization == pytest.approx(1.0, abs=1e-12)
     assert kde.integrate(Circle(500.0, 500.0, 300.0)) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_mass_is_an_error_not_a_probability(monkeypatch, bad):
+    d = ParametricDensity.from_mixture([100.0, 100.0], Q, 0.5, REGION)
+    kde = KernelDensity([[50.0, 50.0], [120.0, 90.0]], np.eye(2) * 100.0, REGION)
+    monkeypatch.setattr(spatial, "_bump_mass", lambda *args: bad)
+    with pytest.raises(QuakevalError, match="not a finite number"):
+        d.integrate(Circle(100.0, 100.0, 30.0))
+    monkeypatch.setattr(kde, "_raw_mass", lambda region: bad)
+    with pytest.raises(QuakevalError, match="not a finite number"):
+        kde.integrate(Circle(100.0, 100.0, 30.0))
