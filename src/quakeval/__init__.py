@@ -8,8 +8,7 @@ precursor behaviour.  Supporting pieces: spatial density models over a
 study region, synthetic-catalog Monte Carlo, and an aftershock filter.
 """
 
-from .catalog import (AftershockPolicy, Catalog, ExcludedEvent,
-                      FilterResult, Prediction,
+from .catalog import (AftershockPolicy, Catalog, FilterResult, Prediction,
                       filter_aftershocks, parse_earthquakes,
                       parse_predictions, serialize_earthquakes,
                       serialize_exclusions, serialize_predictions,
@@ -25,9 +24,8 @@ from .nulltest import (ChanceProbabilities, CMin, SignificanceReport,
                        enhancement_estimate, exact_poisson_binomial,
                        min_consistent_c, overlap_fraction,
                        poisson_binomial_pmf, significance_report)
-from .precursor import (DelayData, DelayObservation, PrecursorResult,
-                        extract_delays, precursor_test, tau_mean, tau_tail,
-                        tau_var)
+from .precursor import (DelayData, PrecursorResult, extract_delays,
+                        precursor_test, tau_mean, tau_tail, tau_var)
 from .regions import (Circle, ConvexPolygon, Rectangle, Region,
                       contains_region, region_from_dict)
 from .spatial import (FitResult, KernelDensity, ParametricDensity,
@@ -38,8 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AftershockPolicy", "Catalog", "ChanceProbabilities", "Circle",
-    "ClusteringParams", "CMin", "ConvexPolygon", "DelayData",
-    "DelayObservation", "ExcludedEvent", "FilterResult",
+    "ClusteringParams", "CMin", "ConvexPolygon", "DelayData", "FilterResult",
     "FitError", "FitResult", "KernelDensity", "NullModel",
     "ParametricDensity", "PrecursorResult", "Prediction",
     "QuakevalError", "Rectangle", "Region", "SignificanceReport",

@@ -163,9 +163,6 @@ class Catalog:
     def __len__(self) -> int:
         return len(self._t)
 
-    def count_at_or_above(self, magnitude: float) -> int:
-        return int(np.count_nonzero(self._m >= magnitude))
-
     def subset(self, mask: np.ndarray) -> "Catalog":
         mask = np.asarray(mask, dtype=bool)
         return Catalog(self._t[mask], self._x[mask], self._y[mask], self._m[mask],
@@ -229,12 +226,30 @@ def _read_table(source, header: Sequence[str]) -> Iterator[Iterator[tuple[int, l
             yield data_rows(reader)
     except UnicodeDecodeError as exc:  # its position counts from a read chunk, not the file
         bad = exc.object[exc.start:exc.end]
-        raise ValidationError(f"{prefix}text is not UTF-8 ({exc.reason}: {bad!r})") from None
+        where = _undecodable_row(source) if is_path else ""
+        raise ValidationError(
+            f"{prefix}{where}text is not UTF-8 ({exc.reason}: {bad!r})") from None
     except csv.Error as exc:
         where = "" if row is None else f"row {row + 1}: "
         raise ValidationError(f"{prefix}{where}{exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{prefix}{exc}") from None
+
+
+def _undecodable_row(path) -> str:
+    """``"row N: "`` for the data row of a file's first byte that is not
+    UTF-8 (``""`` in the header), counting CSV records, not lines."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        return ""
+    except UnicodeDecodeError as exc:  # a stand-in ends the text in the bad byte's record
+        text = data[:exc.start].decode("utf-8-sig") + "?"
+    try:
+        row = sum(1 for _ in csv.reader(io.StringIO(text, newline=""))) - 1
+    except csv.Error:
+        return ""
+    return f"row {row}: " if row >= 1 else ""
 
 
 def _write_table(header: Sequence[str], rows: Iterable[Sequence],
@@ -415,22 +430,15 @@ def validate_predictions_against(predictions: Sequence[Prediction],
 
 
 @dataclass(frozen=True)
-class ExcludedEvent:
-    """Audit entry for one filtered event: its index in the input
-    catalog, its fields, and the index of the mainshock that shadowed it."""
-
-    index: int
-    time: float
-    x: float
-    y: float
-    magnitude: float
-    excluded_by: int
-
-
-@dataclass(frozen=True)
 class FilterResult:
+    """The kept and excluded parts of a filtered catalog, and read-only
+    int columns giving each excluded event's input position and that of
+    the mainshock which shadowed it."""
+
     kept: Catalog
-    excluded: tuple[ExcludedEvent, ...]
+    excluded: Catalog
+    excluded_index: np.ndarray
+    excluded_by: np.ndarray
 
 
 def filter_aftershocks(catalog: Catalog, policy: AftershockPolicy) -> FilterResult:
@@ -441,46 +449,35 @@ def filter_aftershocks(catalog: Catalog, policy: AftershockPolicy) -> FilterResu
     ``policy.distance_window`` km.  Scanning in time order against the
     retained set makes the rule idempotent: filtering a filtered catalog
     changes nothing.  Equal-magnitude pairs never shadow each other, and
-    an excluded event cannot itself exclude anything.
-
-    Returns:
-        FilterResult with the surviving catalog and an audit tuple whose
-        ``excluded_by`` fields give the original index of the mainshock
-        responsible for each exclusion.
+    an excluded event cannot itself exclude anything.  The culprit named
+    for an exclusion is the first shadowing event in time order.
     """
     t, x, y, m = catalog.times, catalog.xs, catalog.ys, catalog.magnitudes
-    kept_idx: list[int] = []
-    excluded: list[ExcludedEvent] = []
-    kept_t = np.empty(len(catalog))
-    kept_x = np.empty(len(catalog))
-    kept_y = np.empty(len(catalog))
-    kept_m = np.empty(len(catalog))
-    n_kept = 0
-    for i in range(len(catalog)):
-        lo = np.searchsorted(kept_t[:n_kept], t[i] - policy.time_window, side="left")
-        hi = np.searchsorted(kept_t[:n_kept], t[i], side="left")
-        sl = slice(lo, hi)
-        bigger = kept_m[sl] > m[i]
-        if np.any(bigger):
-            d2 = (kept_x[sl] - x[i]) ** 2 + (kept_y[sl] - y[i]) ** 2
-            shadow = bigger & (d2 <= policy.distance_window ** 2)
-            if np.any(shadow):
-                culprit = kept_idx[lo + int(np.flatnonzero(shadow)[0])]
-                excluded.append(ExcludedEvent(i, float(t[i]), float(x[i]),
-                                              float(y[i]), float(m[i]), culprit))
-                continue
-        kept_t[n_kept], kept_x[n_kept] = t[i], x[i]
-        kept_y[n_kept], kept_m[n_kept] = y[i], m[i]
-        kept_idx.append(i)
-        n_kept += 1
-    keep = np.zeros(len(catalog), dtype=bool)
-    keep[kept_idx] = True
-    return FilterResult(catalog.subset(keep), tuple(excluded))
+    # events in [t - time_window, t) are the candidates, ties in time excluded
+    starts = np.searchsorted(t, t - policy.time_window, side="left").tolist()
+    stops = np.searchsorted(t, t, side="left").tolist()
+    r2 = policy.distance_window ** 2
+    kept = np.ones(len(catalog), dtype=bool)
+    culprit = np.full(len(catalog), -1)
+    for i, (lo, hi) in enumerate(zip(starts, stops)):
+        shadow = kept[lo:hi] & (m[lo:hi] > m[i])
+        if shadow.any():
+            shadow &= (x[lo:hi] - x[i]) ** 2 + (y[lo:hi] - y[i]) ** 2 <= r2
+            if shadow.any():
+                kept[i] = False
+                culprit[i] = lo + int(shadow.argmax())
+    excluded_index = np.flatnonzero(~kept)
+    excluded_by = culprit[excluded_index]
+    for arr in (excluded_index, excluded_by):
+        arr.flags.writeable = False
+    return FilterResult(catalog.subset(kept), catalog.subset(~kept),
+                        excluded_index, excluded_by)
 
 
 def serialize_exclusions(result: FilterResult, destination=None) -> str | None:
     """Audit CSV for a filter run: original row, event fields, culprit row."""
-    rows = ([r.index, r.time, r.x, r.y, r.magnitude, r.excluded_by]
-            for r in result.excluded)
+    ex = result.excluded
+    columns = (result.excluded_index, ex.times, ex.xs, ex.ys, ex.magnitudes,
+               result.excluded_by)
     return _write_table(["index", "time", "x", "y", "magnitude", "excluded_by"],
-                        rows, destination)
+                        zip(*(c.tolist() for c in columns)), destination)

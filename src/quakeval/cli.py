@@ -174,7 +174,7 @@ def _cmd_precursor(args) -> dict:
               "threshold": args.threshold}
     body = result.to_dict()
     body["origin"] = data.origin
-    body["n_censored"] = sum(o.censored for o in data.observations)
+    body["n_censored"] = int(data.censored.sum())
     return {"command": "precursor", "config": config, **body}
 
 

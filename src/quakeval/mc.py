@@ -36,7 +36,7 @@ import numpy as np
 from .catalog import Catalog, Prediction
 from .errors import QuakevalError, ValidationError
 from .nulltest import (alarm_groups, alarm_probabilities, count_hits,
-                       poisson_binomial_pmf)
+                       poisson_binomial_tails)
 from .precursor import tau_mean, tau_var
 from .spatial import SpatialDensity
 
@@ -250,12 +250,14 @@ def empirical_significance(model: NullModel, predictions: list[Prediction],
             raise ValidationError(
                 f"prediction {j}: window [{p.window_start:g}, {p.window_end:g}] "
                 f"is outside the simulated record [0, {model.span:g}]")
+        if p.min_magnitude > BACKGROUND_MAGNITUDE:
+            raise ValidationError(
+                f"prediction {j}: no simulated events at or above magnitude "
+                f"{p.min_magnitude:g}; the null model is undefined")
 
     probs = alarm_probabilities(predictions, model.spatial, model.span,
                                 model.n_events)
-    pmf = poisson_binomial_pmf(probs)
-    tails = np.zeros(len(pmf) + 1)
-    tails[:-1] = np.cumsum(pmf[::-1])[::-1]
+    tails = poisson_binomial_tails(probs)
 
     groups = alarm_groups(predictions)
     counts = np.empty(replicates, dtype=int)

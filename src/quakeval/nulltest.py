@@ -186,18 +186,21 @@ def poisson_binomial_pmf(probs) -> np.ndarray:
     return pmf
 
 
-def exact_poisson_binomial(probs, k: int) -> float:
-    """Exact tail P(X >= k) for the Poisson-binomial count.
-
-    The pmf's rounding can carry its sum a few ulps past one; the tail is
-    capped there, so it is always a probability.
-    """
+def poisson_binomial_tails(probs) -> np.ndarray:
+    """Tails P(X >= k) for k = 0 .. m + 1, as one reverse cumulative sum of
+    the pmf: non-increasing in k, and capped at 1.0 where the pmf's
+    rounding carries its sum a few ulps past one."""
     pmf = poisson_binomial_pmf(probs)
-    if k <= 0:
-        return 1.0
-    if k >= len(pmf):
-        return 0.0
-    return min(float(pmf[k:].sum()), 1.0)
+    tails = np.zeros(len(pmf) + 1)
+    np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0, out=tails[:-1])
+    return tails
+
+
+def exact_poisson_binomial(probs, k: int) -> float:
+    """Exact tail P(X >= k) for the Poisson-binomial count, read from
+    ``poisson_binomial_tails``; 1.0 for k <= 0."""
+    tails = poisson_binomial_tails(probs)
+    return 1.0 if k <= 0 else float(tails[min(k, len(tails) - 1)])
 
 
 def _aggregates(probs) -> tuple[np.ndarray, float, float]:

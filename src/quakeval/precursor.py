@@ -16,6 +16,11 @@ standardizing against the summed conditional moments:
 Signals that systematically precede events give z well below zero
 (precursor behaviour); signals that trail events give z above zero.
 Both one-sided flags trip at a configurable threshold (default 2.5).
+
+``extract_delays`` scores every catalog event: a signal's delay runs to
+the next event of any magnitude anywhere in the catalog, and N counts
+every event from the earliest signal on.  Each alarm's ``min_magnitude``
+and region are ignored.
 """
 
 from __future__ import annotations
@@ -80,30 +85,16 @@ def tau_var(t, n: int, span: float):
 
 
 @dataclass(frozen=True)
-class DelayObservation:
-    """One signal: issue time t (record-relative) and observed delay."""
-
-    t: float
-    tau_hat: float
-    censored: bool = False
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and math.isfinite(self.tau_hat)):
-            raise ValidationError("delay observations must be finite")
-        if self.t < 0 or self.tau_hat < 0:
-            raise ValidationError("signal time and delay must be >= 0")
-
-
-@dataclass(frozen=True)
 class DelayData:
-    """Delays extracted from a prediction set against a catalog.
-
-    Times are measured from ``origin`` (the earliest issue time);
-    ``span`` runs to the last catalog event and ``n_events`` counts the
-    events inside that window.
+    """Delays of a prediction set against a catalog: read-only (m, 2)
+    rows of (signal time, observed delay) in prediction order, and a
+    bool column flagging censored signals.  Times are measured from
+    ``origin`` (the earliest issue time); ``span`` runs to the last
+    catalog event and ``n_events`` counts the events inside that window.
     """
 
-    observations: tuple[DelayObservation, ...]
+    observations: np.ndarray
+    censored: np.ndarray
     n_events: int
     span: float
     origin: float
@@ -114,33 +105,33 @@ def extract_delays(predictions: Sequence[Prediction], catalog: Catalog) -> Delay
 
     The clock starts at the earliest issue time and the record is taken
     to end at the last event, so every in-window signal has a next
-    event; a signal issued after the last event is clamped to the end
-    of the record and contributes a censored zero delay.
+    event; a signal issued at or after the last event is clamped to the
+    end of the record and contributes a censored zero delay.  Alarm
+    magnitudes and regions are ignored (see the module docstring).
     """
     if not predictions:
         raise ValidationError("need at least one prediction")
     if len(catalog) == 0:
         raise ValidationError("catalog is empty")
-    origin = min(p.issue_time for p in predictions)
+    issue = np.array([p.issue_time for p in predictions])
+    origin = float(issue.min())
     times = catalog.times - origin
-    keep = times >= 0.0
-    if not keep.any():
+    times = times[times >= 0.0]
+    if not len(times):
         raise ValidationError("no catalog events at or after the first signal")
-    times = times[keep]
     span = float(times[-1])
     if span <= 0:
         raise ValidationError(
             "all usable events coincide with the first signal; span is zero")
-    n_events = len(times)
-    obs = []
-    for p in predictions:
-        t = p.issue_time - origin
-        if t >= span:
-            obs.append(DelayObservation(span, 0.0, censored=True))
-            continue
-        idx = int(np.searchsorted(times, t, side="left"))
-        obs.append(DelayObservation(t, float(times[idx] - t), censored=False))
-    return DelayData(tuple(obs), n_events, span, origin)
+    t = issue - origin
+    censored = t >= span
+    t[censored] = span
+    nxt = np.searchsorted(times, t, side="left")
+    tau = np.where(censored, 0.0, times[np.minimum(nxt, len(times) - 1)] - t)
+    observations = np.column_stack([t, tau])
+    for arr in (observations, censored):
+        arr.flags.writeable = False
+    return DelayData(observations, censored, len(times), span, origin)
 
 
 @dataclass(frozen=True)
@@ -173,12 +164,13 @@ class PrecursorResult:
         }
 
 
-def precursor_test(observations: Sequence[DelayObservation], n_events: int,
-                   span: float, threshold: float = 2.5) -> PrecursorResult:
+def precursor_test(observations, n_events: int, span: float,
+                   threshold: float = 2.5) -> PrecursorResult:
     """Compare summed delays against the uniform-record expectation.
 
     Args:
-        observations: the signal batch (at least one).
+        observations: the signal batch (at least one), an (m, 2)
+            array-like of (signal time, observed delay) rows.
         n_events: events on the record, at least 2.
         span: record length T.
         threshold: |z| level at which the one-sided flags trip.
@@ -187,12 +179,18 @@ def precursor_test(observations: Sequence[DelayObservation], n_events: int,
         ValidationError: bad inputs, or all signals at t = span (the
             delay variance is then zero and z is undefined).
     """
-    if len(observations) < 1:
+    obs = np.asarray(observations, dtype=float)
+    if obs.size == 0:
         raise ValidationError("need at least one delay observation")
+    if obs.ndim != 2 or obs.shape[1] != 2:
+        raise ValidationError("delay observations must be an (m, 2) array")
+    if not np.isfinite(obs).all():
+        raise ValidationError("delay observations must be finite")
+    if (obs < 0).any():
+        raise ValidationError("signal time and delay must be >= 0")
     if threshold <= 0:
         raise ValidationError("threshold must be positive")
-    t = np.array([o.t for o in observations])
-    tau = np.array([o.tau_hat for o in observations])
+    t, tau = obs.T
     means = tau_mean(t, n_events, span)
     variances = tau_var(t, n_events, span)
     e_y = float(np.sum(means))
@@ -207,6 +205,6 @@ def precursor_test(observations: Sequence[DelayObservation], n_events: int,
         y_obs=y_obs, e_y=e_y, var_y=var_y, z=z,
         precursor_flag=z <= -threshold,
         postcursor_flag=z >= threshold,
-        m=len(observations), n_events=n_events, span=span,
+        m=len(obs), n_events=n_events, span=span,
         threshold=threshold,
     )

@@ -34,8 +34,6 @@ def test_catalog_sorts_and_exposes_columns():
     assert cat.magnitudes[0] == 6.0
     assert cat.span == 10.0
     assert len(cat) == 3
-    assert cat.count_at_or_above(5.5) == 1
-    assert cat.count_at_or_above(5.0) == 3
 
 
 def test_catalog_rejects_out_of_record_and_region():
@@ -188,8 +186,8 @@ def test_filter_excludes_smaller_nearby_follower():
     res = filter_aftershocks(cat, AftershockPolicy(10.0, 5.0))
     assert len(res.kept) == 2
     assert len(res.excluded) == 1
-    assert res.excluded[0].index == 1
-    assert res.excluded[0].excluded_by == 0
+    assert res.excluded_index[0] == 1
+    assert res.excluded_by[0] == 0
 
 
 def test_filter_equal_magnitude_never_shadows():
@@ -210,7 +208,7 @@ def test_filter_excluded_event_cannot_shadow():
     res = filter_aftershocks(cat, AftershockPolicy(30.0, 5.0))
     kept_times = list(res.kept.times)
     assert kept_times == [0.0, 8.0]
-    culprits = {r.index: r.excluded_by for r in res.excluded}
+    culprits = dict(zip(res.excluded_index.tolist(), res.excluded_by.tolist()))
     assert culprits == {1: 0, 3: 0}
 
 
@@ -253,6 +251,41 @@ def test_filter_idempotent_and_matches_reference():
         again = filter_aftershocks(res.kept, policy)
         assert len(again.excluded) == 0
         assert rows(again.kept) == rows(res.kept)
+
+
+def test_filter_culprits_match_reference_with_ties():
+    """On integer times, magnitudes in steps of 0.5 and integer positions,
+    ties in time and magnitude are common and every comparison is exact.
+    The excluded positions and culprits must match a loop over the
+    retained events that names the first shadower in time order."""
+    policy = AftershockPolicy(5.0, 30.0)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = 150
+        cat = Catalog(rng.integers(0, 80, n), rng.integers(0, 101, n),
+                      rng.integers(0, 101, n), 4.0 + 0.5 * rng.integers(0, 5, n),
+                      0.0, 100.0, REGION)
+        res = filter_aftershocks(cat, policy)
+
+        events = rows(cat)
+        kept, ref_index, ref_by = [], [], []
+        for i, (t, x, y, m) in enumerate(events):
+            shadowers = [j for j in kept
+                         if events[j][3] > m
+                         and 0.0 < t - events[j][0] <= policy.time_window
+                         and (events[j][1] - x) ** 2 + (events[j][2] - y) ** 2
+                         <= policy.distance_window ** 2]
+            if shadowers:
+                ref_index.append(i)
+                ref_by.append(shadowers[0])
+            else:
+                kept.append(i)
+        assert ref_index, "the catalogs should exercise exclusions"
+        assert np.array_equal(res.excluded_index, ref_index)
+        assert np.array_equal(res.excluded_by, ref_by)
+        assert rows(res.kept) == [events[i] for i in kept]
+        assert rows(res.excluded) == [events[i] for i in ref_index]
+        assert not res.excluded_index.flags.writeable
 
 
 def test_exclusion_audit_csv():

@@ -121,6 +121,20 @@ def test_simulate_significance(tmp_path, capsys):
     assert len(lines) == 51
 
 
+def test_simulate_significance_rejects_threshold_above_simulated_events(tmp_path, capsys):
+    lines = Path(PRED).read_text().splitlines()
+    cells = lines[2].split(",")
+    lines[2] = ",".join([*cells[:-1], "5.5"])
+    preds = tmp_path / "preds.csv"
+    preds.write_text("\n".join(lines) + "\n")
+    code = run(["simulate", "--mode", "significance", "--replicates", "10",
+                "--n-events", "200", "--span", "1000",
+                "--predictions", str(preds), "--region", REGION])
+    assert code == 2
+    assert "prediction 1: no simulated events at or above magnitude 5.5" \
+        in capsys.readouterr().err
+
+
 def test_simulate_significance_rejects_fit_density(capsys):
     code = run(["simulate", "--mode", "significance", "--replicates", "10",
                 "--n-events", "100", "--span", "1000",
@@ -305,13 +319,28 @@ def _significance_with_bad_row(tmp_path, capsys, kind, bad_row=None):
 
 @pytest.mark.parametrize("kind", ["earthquakes", "predictions", "points"])
 @pytest.mark.parametrize("bad_row, message", [
-    (b"1,2,\xff,4", "text is not UTF-8"),
+    (b"1,2,\xff,4", "row 3: text is not UTF-8"),
     (b"1," + b"9" * 140_000 + b",3", "row 3: field larger than field limit"),
 ], ids=["non-utf8", "long-field"])
 def test_undecodable_or_oversized_csv_exits_2(tmp_path, capsys, kind, bad_row, message):
     argv, path = _significance_with_bad_row(tmp_path, capsys, kind, bad_row)
     assert run(argv) == 2
     assert f"{path}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["earthquakes", "predictions", "points"])
+def test_non_utf8_byte_far_into_a_file_names_its_row(tmp_path, capsys, kind):
+    """The text layer decodes ahead of the CSV reader, and a quoted blank
+    record spans three lines, so neither the rows read nor the lines
+    before the bad byte give its row."""
+    argv, path = _significance_with_bad_row(tmp_path, capsys, kind)
+    header, *data = path.read_bytes().splitlines()
+    data = (data * (2000 // len(data) + 1))[:2000]
+    data[9] = b'"\n\n"'
+    data[1499] = data[1499].replace(b",", b",\xff", 1)
+    path.write_bytes(b"\n".join([header, *data]) + b"\n")
+    assert run(argv) == 2
+    assert f"{path}: row 1500: text is not UTF-8" in capsys.readouterr().err
 
 
 def test_blank_kde_points_row_is_skipped(tmp_path, capsys):

@@ -206,6 +206,31 @@ def test_empirical_significance_validation():
         empirical_significance(model, outside, 10)
 
 
+def test_empirical_significance_rejects_threshold_above_simulated_magnitudes():
+    model = NullModel(100, 1000.0, UNIFORM, seed=1)
+    preds = _slotted_predictions(3, 1000.0, 4.0, REGION, BACKGROUND_MAGNITUDE, seed=2)
+    preds[1] = Prediction(preds[1].issue_time, preds[1].window_start,
+                          preds[1].window_end, REGION, BACKGROUND_MAGNITUDE + 0.5)
+    with pytest.raises(ValidationError, match=r"prediction 1: no simulated events "
+                                              r"at or above magnitude 5\.5"):
+        empirical_significance(model, preds, 10)
+
+
+def test_zero_count_levels_are_at_most_one():
+    """A replicate with no hits reads the tail at 0, which the pmf's
+    rounding can carry past one; every level written must be at most 1."""
+    zero_counts = 0
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(0.0, 50.0, 6)
+        preds = [Prediction(s, s, s + d, Circle(50.0, 50.0, r), 5.0) for s, d, r
+                 in zip(starts, rng.uniform(0.0, 10.0, 6), rng.uniform(1.0, 10.0, 6))]
+        sim = empirical_significance(NullModel(20, 100.0, UNIFORM, seed=seed), preds, 20)
+        assert bool(np.all(sim.summary.samples <= 1.0))
+        zero_counts += int(np.sum(sim.success_counts == 0))
+    assert zero_counts > 0
+
+
 # ---------------------------------------------------------------------------
 # Reference loops: one replicate at a time, each catalog sorted by time
 # before its hits are counted.  The Monte Carlo must reproduce them exactly.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sintegrate
 
-from quakeval import (DelayObservation, Prediction, Rectangle,
+from quakeval import (Prediction, Rectangle,
                       ValidationError, extract_delays, precursor_test,
                       tau_mean, tau_tail, tau_var)
 from quakeval.catalog import parse_earthquakes
@@ -88,11 +88,11 @@ def test_law_argument_validation():
 
 
 def test_delay_observation_validation():
-    DelayObservation(10.0, 5.0)
-    with pytest.raises(ValidationError):
-        DelayObservation(-1.0, 5.0)
-    with pytest.raises(ValidationError):
-        DelayObservation(10.0, -5.0)
+    precursor_test([(10.0, 5.0)], 5, SPAN)
+    with pytest.raises(ValidationError, match="must be >= 0"):
+        precursor_test([(-1.0, 5.0)], 5, SPAN)
+    with pytest.raises(ValidationError, match="must be >= 0"):
+        precursor_test([(10.0, -5.0)], 5, SPAN)
 
 
 def _catalog(times):
@@ -111,10 +111,10 @@ def test_extract_delays_basic():
     # the event at 10 predates the first signal and is dropped
     assert data.n_events == 2
     # issued at 15 (shifted 0), next event at shifted 25
-    assert data.observations[0].t == 0.0
-    assert data.observations[0].tau_hat == pytest.approx(25.0)
-    assert data.observations[1].t == pytest.approx(30.0)
-    assert data.observations[1].tau_hat == pytest.approx(55.0)
+    assert data.observations[0, 0] == 0.0
+    assert data.observations[0, 1] == pytest.approx(25.0)
+    assert data.observations[1, 0] == pytest.approx(30.0)
+    assert data.observations[1, 1] == pytest.approx(55.0)
 
 
 def test_extract_delays_tie_gives_zero():
@@ -123,9 +123,9 @@ def test_extract_delays_tie_gives_zero():
     preds = [Prediction(10.0, 12.0, 20.0, region, 5.0),
              Prediction(40.0, 41.0, 50.0, region, 5.0)]
     data = extract_delays(preds, cat)
-    assert data.observations[0].tau_hat == 0.0
-    assert data.observations[1].tau_hat == 0.0
-    assert data.observations[1].censored is True
+    assert data.observations[0, 1] == 0.0
+    assert data.observations[1, 1] == 0.0
+    assert data.censored[1]
 
 
 def test_extract_delays_after_last_event_censored():
@@ -134,9 +134,37 @@ def test_extract_delays_after_last_event_censored():
     preds = [Prediction(20.0, 25.0, 30.0, region, 5.0),
              Prediction(95.0, 96.0, 99.0, region, 5.0)]
     data = extract_delays(preds, cat)
-    assert data.observations[1].censored is True
-    assert data.observations[1].tau_hat == 0.0
-    assert data.observations[1].t == pytest.approx(data.span)
+    assert data.censored[1]
+    assert data.observations[1, 1] == 0.0
+    assert data.observations[1, 0] == pytest.approx(data.span)
+
+
+def test_extract_delays_matches_reference_loop():
+    """Integer times make signals tie with events and with each other;
+    signals at or after the last event are censored."""
+    region = Rectangle(0, 100, 0, 100)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        cat = _catalog(rng.integers(0, 60, 25).tolist())
+        issue = rng.integers(5, 70, 30).tolist()
+        preds = [Prediction(t, t, t + 1.0, region, 5.0) for t in issue]
+        data = extract_delays(preds, cat)
+
+        origin = min(issue)
+        times = [t - origin for t in cat.times.tolist() if t - origin >= 0.0]
+        span = times[-1]
+        ref, censored = [], []
+        for p in preds:
+            t = p.issue_time - origin
+            censored.append(t >= span)
+            ref.append((span, 0.0) if t >= span
+                       else (t, next(e for e in times if e >= t) - t))
+        assert any(censored) and not all(censored)
+        assert np.array_equal(data.observations, np.array(ref))
+        assert np.array_equal(data.censored, censored)
+        assert (data.n_events, data.span, data.origin) == (len(times), span, origin)
+        assert not data.observations.flags.writeable
+        assert not data.censored.flags.writeable
 
 
 def test_extract_delays_needs_events_after_origin():
@@ -150,7 +178,7 @@ def test_extract_delays_needs_events_after_origin():
 def test_precursor_statistic_zero_for_expected_delays():
     n, span = 20, SPAN
     t = np.linspace(0.0, 900.0, 30)
-    obs = [DelayObservation(ti, float(tau_mean(ti, n, span))) for ti in t]
+    obs = [(ti, float(tau_mean(ti, n, span))) for ti in t]
     res = precursor_test(obs, n, span)
     assert res.z == pytest.approx(0.0, abs=1e-12)
     assert not res.precursor_flag and not res.postcursor_flag
@@ -160,7 +188,7 @@ def test_precursor_statistic_zero_for_expected_delays():
 def test_precursor_flag_for_short_delays():
     n, span = 20, SPAN
     t = np.linspace(0.0, 800.0, 40)
-    obs = [DelayObservation(ti, 0.0) for ti in t]
+    obs = [(ti, 0.0) for ti in t]
     res = precursor_test(obs, n, span)
     assert res.z < -2.5
     assert res.precursor_flag and not res.postcursor_flag
@@ -169,21 +197,20 @@ def test_precursor_flag_for_short_delays():
 def test_postcursor_flag_for_long_delays():
     n, span = 10, SPAN
     t = np.linspace(0.0, 500.0, 40)
-    obs = [DelayObservation(ti, 3.0 * float(tau_mean(ti, n, span)))
-           for ti in t]
+    obs = [(ti, 3.0 * float(tau_mean(ti, n, span))) for ti in t]
     res = precursor_test(obs, n, span)
     assert res.z > 2.5
     assert res.postcursor_flag
 
 
 def test_precursor_threshold_and_inputs_validated():
-    obs = [DelayObservation(0.0, 10.0)]
+    obs = [(0.0, 10.0)]
     with pytest.raises(ValidationError):
         precursor_test(obs, 5, SPAN, threshold=0.0)
     with pytest.raises(ValidationError):
         precursor_test([], 5, SPAN)
     # every observation at the record end leaves no variance to test against
-    degenerate = [DelayObservation(SPAN, 0.0, censored=True)]
+    degenerate = [(SPAN, 0.0)]
     with pytest.raises(ValidationError):
         precursor_test(degenerate, 5, SPAN)
 
@@ -192,8 +219,7 @@ def test_precursor_result_serializable():
     n, span = 15, SPAN
     t = np.linspace(0.0, 700.0, 25)
     rng = np.random.default_rng(7)
-    obs = [DelayObservation(ti, float(tau_mean(ti, n, span)) * rng.uniform(0.5, 1.5))
-           for ti in t]
+    obs = [(ti, float(tau_mean(ti, n, span)) * rng.uniform(0.5, 1.5)) for ti in t]
     res = precursor_test(obs, n, span)
     payload = res.to_dict()
     assert set(payload) >= {"z", "precursor_flag", "postcursor_flag",
@@ -206,7 +232,7 @@ def test_statistic_matches_hand_computation():
     n, span = 8, 100.0
     ts = [0.0, 20.0, 50.0]
     taus = [5.0, 12.0, 1.0]
-    obs = [DelayObservation(t, h) for t, h in zip(ts, taus)]
+    obs = list(zip(ts, taus))
     res = precursor_test(obs, n, span)
     mean_sum = sum(float(tau_mean(t, n, span)) for t in ts)
     var_sum = sum(float(tau_var(t, n, span)) for t in ts)

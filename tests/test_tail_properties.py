@@ -1,7 +1,7 @@
 """Property tests for the Poisson-binomial null and the enhancement bound:
-the pmf sums to one, the exact tail is a probability that does not rise
-with k beyond rounding, and ``c_min`` lies below ``c_hat`` whenever it
-is a root rather than the cap.
+the pmf sums to one, the exact tail is a probability that never rises
+with k, and ``c_min`` lies below ``c_hat`` whenever it is a root rather
+than the cap.
 
 Probabilities range over [0, 1] with the ends and tiny values drawn on
 purpose.  Examples are derandomized so every run checks the same cases.
@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quakeval import exact_poisson_binomial, min_consistent_c, poisson_binomial_pmf
+from quakeval.nulltest import poisson_binomial_tails
 
-EPS = float(np.finfo(float).eps)
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 probability = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 1e-300, 1e-12]),
@@ -36,9 +36,11 @@ def test_exact_tail_is_non_increasing_in_k(probs):
     tails = [exact_poisson_binomial(probs, k) for k in range(-1, len(probs) + 3)]
     assert tails[0] == tails[1] == 1.0 and tails[-1] == 0.0
     assert all(0.0 <= t <= 1.0 for t in tails)
-    # each tail is a separate pairwise sum of pmf[k:], so neighbours may
-    # cross by rounding; 8 eps relative covers that sum's error at m = 200
-    assert all(b <= a * (1.0 + 8 * EPS) for a, b in zip(tails, tails[1:]))
+    # one reverse cumulative sum serves every k, so no tolerance is needed
+    assert all(b <= a for a, b in zip(tails, tails[1:]))
+    table = poisson_binomial_tails(probs)
+    assert bool(np.all(np.diff(table) <= 0.0)) and table[0] <= 1.0 and table[-1] == 0.0
+    assert tails[2:-1] == table[1:].tolist()
 
 
 @PROPERTY
