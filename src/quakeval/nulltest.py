@@ -189,10 +189,12 @@ def poisson_binomial_pmf(probs) -> np.ndarray:
 def poisson_binomial_tails(probs) -> np.ndarray:
     """Tails P(X >= k) for k = 0 .. m + 1, as one reverse cumulative sum of
     the pmf: non-increasing in k, and capped at 1.0 where the pmf's
-    rounding carries its sum a few ulps past one."""
+    rounding carries its sum a few ulps past one.  P(X >= 0) is 1.0
+    exactly, whatever the pmf's rounding."""
     pmf = poisson_binomial_pmf(probs)
     tails = np.zeros(len(pmf) + 1)
     np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0, out=tails[:-1])
+    tails[0] = 1.0
     return tails
 
 
@@ -200,7 +202,7 @@ def exact_poisson_binomial(probs, k: int) -> float:
     """Exact tail P(X >= k) for the Poisson-binomial count, read from
     ``poisson_binomial_tails``; 1.0 for k <= 0."""
     tails = poisson_binomial_tails(probs)
-    return 1.0 if k <= 0 else float(tails[min(k, len(tails) - 1)])
+    return float(tails[min(max(k, 0), len(tails) - 1)])
 
 
 def _aggregates(probs) -> tuple[np.ndarray, float, float]:

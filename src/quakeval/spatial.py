@@ -13,11 +13,12 @@ Two normalized density families over a bounded region:
 * ``KernelDensity``: a Gaussian product-kernel estimate with a fixed
   bandwidth matrix, renormalized over the region.
 
-``fit_parametric`` maximizes the in-region log-likelihood with a
-derivative-free simplex search (restarted once), parameterizing Q
-through its Cholesky factor so positive definiteness needs no
-constraint handling, and the bump weight ``w = p1 * I_Q`` directly so
-the feasible set is just 0 <= w <= 1.  ``fit_kde`` applies a per-axis
+``fit_parametric`` maximizes the in-region log-likelihood with one
+bounded L-BFGS-B search.  Q is parameterized through its Cholesky
+factor L (log-diagonal), so positive definiteness needs no constraint
+handling, and the bump weight ``w = p1 * I_Q`` through its logit, so
+the floor never vanishes.  The gradient is analytic in the data term;
+only log(I_Q) is differenced centrally.  ``fit_kde`` applies a per-axis
 plug-in bandwidth ``h_k = sigma_k * n**(-1/6)``.
 
 Model files are JSON; kernel models reference their sample points in a
@@ -118,6 +119,9 @@ class ParametricDensity:
             return cls(x_c, q_matrix, 0.0, region)
         mass = _bump_mass(region, np.asarray(x_c, dtype=float),
                           _check_spd(q_matrix, "Q"))
+        if not mass > 0.0:
+            raise ValidationError("the bump has no mass inside the region to carry "
+                                  f"weight {weight:g}")
         return cls(x_c, q_matrix, weight / mass, region)
 
     @classmethod
@@ -295,25 +299,122 @@ class FitResult:
     n_evaluations: int
 
 
-_SIMPLEX_FTOL = 1e-9  # relative function tolerance of the simplex stopping rule
+# Bump SDs the search may reach, as multiples of the points' SD on each axis.
+_SD_RANGE = (1e-4, 1e3)
+_LOGIT_BOUND = 30.0  # |logit w| <= 30: w stays 1e-13 away from 0 and 1
+# Trial covariances with trace(Q)^2 > _MAX_COND * det(Q) (about their condition
+# number) are scored as degenerate: Cholesky and eigh of (2Q)^-1 lose all
+# accuracy near 1e16.
+_MAX_COND = 1e12
+_STEP = 1e-5  # central-difference step of log(bump mass), on each parameter's scale
+# Gaussian region masses are exact to about 1e-15 absolute, so one below this
+# floor has lost its relative accuracy; the fit floors it here, which can only
+# understate the likelihood.
+_MASS_FLOOR = 1e-10
+# L-BFGS-B stops when a step gains less than _FTOL relative, or when no
+# scaled coordinate moves the mean log-likelihood by more than _GTOL per unit.
+_FTOL = 1e-12
+_GTOL = 1e-8
+
+
+def _half_inverse(l00: float, l11: float, l21: float) -> np.ndarray:
+    """(2Q)^-1 = L^-T L^-1 / 2 for Q = L L', L = [[l00, 0], [l21, l11]]."""
+    p, s = 1.0 / l00, 1.0 / l11
+    r = -l21 * p * s
+    return 0.5 * np.array([[p * p + r * r, r * s], [r * s, s * s]])
+
+
+def _fit_objective(pts: np.ndarray, region: Region):
+    """Negative log-likelihood of the floor-plus-bump density and its
+    gradient, as one function of theta = (cx, cy, log L00, log L11, L21,
+    logit w), where Q = L L' with L lower triangular.
+
+    The data term's gradient is analytic.  Of log(bump mass)
+    = log(pi) - log L00 - log L11 + log G, with G the mass of
+    N(x_c, (2Q)^-1) in the region, only log G is differenced centrally:
+    the base mass and the four centre shifts share one covariance and
+    one ``gaussian_mass`` call, then one call per shifted Cholesky
+    entry.  A degenerate covariance scores n (log A + 1), above the
+    start's value (at most n log 2A at weight 1/2), so no search accepts
+    it.
+    """
+    n = len(pts)
+    x, y = pts[:, 0], pts[:, 1]
+    log_area = math.log(region.area)
+    penalty = n * (log_area + 1.0)
+
+    def log_g(means, cov) -> np.ndarray:
+        return np.log(np.maximum(region.gaussian_mass(means, cov), _MASS_FLOOR))
+
+    def objective(theta) -> tuple[float, np.ndarray]:
+        cx, cy, s1, s2, l21, u = (float(v) for v in theta)
+        l00, l11 = math.exp(s1), math.exp(s2)
+        if (l00 * l00 + l11 * l11 + l21 * l21) ** 2 > _MAX_COND * (l00 * l11) ** 2:
+            return penalty, np.zeros(6)
+        cov = _half_inverse(l00, l11, l21)
+        hx, hy = _STEP * math.sqrt(cov[0, 0]), _STEP * math.sqrt(cov[1, 1])
+        centre = np.array([[cx, cy]])
+        shifted = centre + np.array([[0.0, 0.0], [hx, 0.0], [-hx, 0.0],
+                                     [0.0, hy], [0.0, -hy]])
+        g0, gx1, gx0, gy1, gy0 = log_g(shifted, cov)
+        hl = _STEP * math.hypot(l21, l11)
+        up, down = math.exp(_STEP), math.exp(-_STEP)
+        pairs = [(_half_inverse(l00 * up, l11, l21), _half_inverse(l00 * down, l11, l21)),
+                 (_half_inverse(l00, l11 * up, l21), _half_inverse(l00, l11 * down, l21)),
+                 (_half_inverse(l00, l11, l21 + hl), _half_inverse(l00, l11, l21 - hl))]
+        d_chol = [log_g(centre, plus)[0] - log_g(centre, minus)[0] for plus, minus in pairs]
+        log_mass = math.log(math.pi) - s1 - s2 + g0
+        grad_log_mass = np.array([(gx1 - gx0) / (2.0 * hx), (gy1 - gy0) / (2.0 * hy),
+                                  d_chol[0] / (2.0 * _STEP) - 1.0,
+                                  d_chol[1] / (2.0 * _STEP) - 1.0, d_chol[2] / (2.0 * hl)])
+
+        # (x - x_c)' Q (x - x_c) = a^2 + b^2 with (a, b) = L' (x - x_c)
+        dx, dy = x - cx, y - cy
+        a = l00 * dx + l21 * dy
+        b = l11 * dy
+        log_w, log_floor = -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u) - log_area
+        log_bump = log_w - (a * a + b * b) - log_mass
+        log_dens = np.logaddexp(log_floor, log_bump)
+        resp = np.exp(log_bump - log_dens)  # each point's share from the bump
+        ra = resp * a
+        grad = np.empty(6)
+        grad[0] = -2.0 * l00 * ra.sum()
+        grad[1] = -2.0 * (l21 * ra.sum() + l11 * (resp @ b))
+        grad[2] = 2.0 * l00 * (ra @ dx)
+        grad[3] = 2.0 * (resp @ (b * b))
+        grad[4] = 2.0 * (ra @ dy)
+        grad[:5] += resp.sum() * grad_log_mass
+        grad[5] = n * math.exp(log_w) - resp.sum()
+        return -float(log_dens.sum()), grad
+
+    return objective
 
 
 def fit_parametric(points, region: Region, max_iterations: int = 10_000) -> FitResult:
     """Maximum-likelihood fit of the floor-plus-bump density.
 
+    One bounded L-BFGS-B search over (cx, cy, log L00, log L11, L21,
+    logit w), with the gradient of ``_fit_objective``.  It starts from
+    the points' mean and covariance at weight 1/2.  The box keeps the
+    centre within one region span of the region's bounding box and the
+    bump SDs within ``_SD_RANGE`` of the points' own.
+
     Args:
-        points: observed epicentres, shape (n, 2), n >= 10, inside region.
+        points: observed epicentres, shape (n, 2), n >= 10, inside region,
+            not all on one line.
         region: normalization domain.
-        max_iterations: simplex iteration cap per pass (two passes run).
+        max_iterations: L-BFGS-B iteration cap.
 
     Returns:
-        FitResult.  The fitted log-likelihood is never below the uniform
-        model's (the uniform model is in the family at weight 0 and is
-        substituted if the search somehow ends above it).
+        FitResult; ``n_evaluations`` counts objective-and-gradient calls.
+        The fitted log-likelihood is never below the uniform model's (the
+        uniform model is in the family at weight 0 and is substituted if
+        the search ends below it).
 
     Raises:
-        ValidationError: fewer than 10 points, or points outside region.
-        FitError: no convergence within the iteration caps; the best
+        ValidationError: fewer than 10 points, points outside region, or
+            points on one line, where the likelihood has no maximum.
+        FitError: no convergence within the iteration cap; the best
             iterate is attached as ``.best``.
     """
     pts = _as_points(points)
@@ -323,67 +424,53 @@ def fit_parametric(points, region: Region, max_iterations: int = 10_000) -> FitR
             "use the uniform model for very small catalogs")
     if not np.all(region.contains(pts[:, 0], pts[:, 1])):
         raise ValidationError("fit points must lie inside the region")
+    cov = np.cov(pts.T)
+    lam = np.linalg.eigvalsh(cov)
+    if not lam[0] > 1e-12 * lam[1]:  # singular to rounding, or all zero
+        raise ValidationError(
+            "parametric fit: the points lie on one line or at one point, so their "
+            "covariance is singular and the bump likelihood has no maximum; fit a "
+            "kernel density (--kind kde) or use the uniform model")
 
-    area = region.area
-    ll_uniform = -len(pts) * math.log(area)
+    n = len(pts)
+    ll_uniform = -n * math.log(region.area)
     xmin, xmax, ymin, ymax = region.bounding_box
     span_x, span_y = xmax - xmin, ymax - ymin
+    sd = np.sqrt(np.diag(cov))
+    low0 = np.linalg.cholesky(np.linalg.inv(2.0 * cov))
+    theta = np.array([*pts.mean(axis=0), math.log(low0[0, 0]), math.log(low0[1, 1]),
+                      low0[1, 0], 0.0])
+    # L_kk = 1 / (sqrt 2 SD_k) for an axis-aligned bump
+    s_lo = -np.log(math.sqrt(2.0) * _SD_RANGE[1] * sd)
+    s_hi = -np.log(math.sqrt(2.0) * _SD_RANGE[0] * sd)
+    l_max = float(np.exp(s_hi).max())
+    lower = np.array([xmin - span_x, ymin - span_y, *s_lo, -l_max, -_LOGIT_BOUND])
+    upper = np.array([xmax + span_x, ymax + span_y, *s_hi, l_max, _LOGIT_BOUND])
+    # The search sees the mean over points, in units where each coordinate
+    # moves it alike: L-BFGS-B's first step in a box is the raw gradient,
+    # cut only where it leaves the box.
+    scale = np.array([sd[0], sd[1], 1.0, 1.0, 1.0 / sd[1], 1.0])
+    objective = _fit_objective(pts, region)
 
-    def unpack(theta):
-        cx, cy, s1, s2, l21, w = theta
-        low = np.array([[math.exp(s1), 0.0], [l21, math.exp(s2)]])
-        return np.array([cx, cy]), low @ low.T, w
+    def scaled(z):
+        value, grad = objective(z * scale)
+        return value / n, grad * scale / n
 
-    def nll(theta) -> float:
-        cx, cy, s1, s2, l21, w = theta
-        if not (0.0 <= w <= 1.0):
-            return np.inf
-        if abs(s1) > 30 or abs(s2) > 30 or abs(l21) > 1e6:
-            return np.inf
-        if not (xmin - span_x <= cx <= xmax + span_x
-                and ymin - span_y <= cy <= ymax + span_y):
-            return np.inf
-        centre, q, _ = unpack(theta)
-        try:
-            bump_mass = _bump_mass(region, centre, q)
-        except np.linalg.LinAlgError:  # (2Q)^-1 numerically singular
-            return np.inf
-        if bump_mass <= 0 or not np.isfinite(bump_mass):
-            return np.inf
-        dens = (1.0 - w) / area + w * np.exp(-_quad_form(pts, centre, q)) / bump_mass
-        return -float(np.sum(np.log(np.clip(dens, 1e-300, None))))
-
-    mean = pts.mean(axis=0)
-    cov = np.cov(pts.T)
-    try:
-        q0 = np.linalg.inv(2.0 * cov)
-        low0 = np.linalg.cholesky(q0)
-    except np.linalg.LinAlgError:
-        low0 = np.eye(2) / max(span_x, span_y)
-    theta = np.array([mean[0], mean[1], math.log(max(low0[0, 0], 1e-12)),
-                      math.log(max(low0[1, 1], 1e-12)), low0[1, 0], 0.5])
-
-    converged = False
-    n_eval = 0
-    for _ in range(2):
-        fatol = _SIMPLEX_FTOL * max(1.0, abs(nll(theta)))
-        res = minimize(nll, theta, method="Nelder-Mead",
-                       options={"maxiter": max_iterations, "maxfev": 4 * max_iterations,
-                                "fatol": fatol, "xatol": 1e-8})
-        theta = res.x
-        n_eval += res.nfev
-        converged = converged or bool(res.success)
-
-    centre, q, w = unpack(theta)
-    best = ParametricDensity.from_mixture(centre, q, min(max(w, 0.0), 1.0), region)
-    if not converged:
-        raise FitError(f"simplex search did not converge within {max_iterations} "
-                       "iterations per pass", best=best)
-    ll_fit = best.log_likelihood(pts)
+    res = minimize(scaled, theta / scale, jac=True, method="L-BFGS-B",
+                   bounds=list(zip(lower / scale, upper / scale)),
+                   options={"maxiter": max_iterations, "ftol": _FTOL, "gtol": _GTOL})
+    cx, cy, s1, s2, l21, u = res.x * scale
+    low = np.array([[math.exp(s1), 0.0], [l21, math.exp(s2)]])
+    best = (ParametricDensity.from_mixture([cx, cy], low @ low.T, 1.0 / (1.0 + math.exp(-u)),
+                                           region)
+            if -res.fun * n > ll_uniform else ParametricDensity.uniform(region))
+    if not res.success:
+        raise FitError(f"L-BFGS-B did not converge within {max_iterations} "
+                       f"iterations: {res.message}", best=best)
+    ll_fit = best.log_likelihood(pts) if best.weight > 0.0 else ll_uniform
     if ll_fit < ll_uniform:
-        best = ParametricDensity.from_mixture(centre, q, 0.0, region)
-        ll_fit = ll_uniform
-    return FitResult(best, ll_fit, ll_uniform, converged, n_eval)
+        best, ll_fit = ParametricDensity.uniform(region), ll_uniform
+    return FitResult(best, ll_fit, ll_uniform, True, int(res.nfev))
 
 
 def fit_kde(points, region: Region) -> KernelDensity:

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quakeval import load_density
@@ -85,6 +86,20 @@ def test_fit_density_report_fields(tmp_path, capsys):
     assert payload["converged"] is True
     assert payload["loglik"] >= payload["loglik_uniform"] - 1e-9
     assert payload["n_points"] == 220
+
+
+def test_fit_density_on_collinear_catalog_exits_2(tmp_path, capsys):
+    events = tmp_path / "line.csv"
+    line = np.linspace(0.0, 200.0, 50).tolist()
+    rows = [f"{10.0 * i:g},{v!r},{v!r},4.5" for i, v in enumerate(line)]
+    events.write_text("time,x,y,magnitude\n" + "\n".join(rows) + "\n")
+    code = run(["fit-density", "--earthquakes", str(events), "--region", REGION,
+                "--kind", "parametric", "--model-out", str(tmp_path / "model.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parametric fit: the points lie on one line")
+    assert "--kind kde" in err and "uniform model" in err
+    assert "Traceback" not in err and "positive definite" not in err
 
 
 def test_simulate_delays(tmp_path):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from quakeval import (Circle, ConvexPolygon, FitError, KernelDensity,
                       ParametricDensity, QuakevalError, Rectangle,
@@ -61,6 +62,8 @@ def test_bad_parameters_rejected():
         ParametricDensity([0, 0], np.eye(2), -0.1, REGION)
     with pytest.raises(ValidationError):
         ParametricDensity.from_mixture([0, 0], np.eye(2), 1.2, REGION)
+    with pytest.raises(ValidationError, match="no mass inside the region"):
+        ParametricDensity.from_mixture([5000.0, 5000.0], np.eye(2), 0.5, REGION)
 
 
 def test_amplitude_overflow_rejected():
@@ -170,6 +173,137 @@ def test_fit_on_uniform_data_never_beats_uniform_by_much():
 def test_fit_requires_enough_points():
     with pytest.raises(ValidationError, match="at least 10"):
         fit_parametric(np.zeros((5, 2)) + 50.0, REGION)
+
+
+@pytest.mark.parametrize("points", [
+    np.column_stack([np.linspace(5.0, 195.0, 50), np.linspace(5.0, 195.0, 50)]),
+    np.tile([[60.0, 140.0]], (30, 1)),
+], ids=["collinear", "one-point"])
+def test_fit_rejects_points_with_singular_covariance(points):
+    """On one line or at one point the likelihood grows without bound as
+    the bump collapses onto them; the fit says so before searching."""
+    with pytest.raises(ValidationError, match="one line.*--kind kde"):
+        fit_parametric(points, REGION)
+
+
+def _numeric_gradient(objective, theta, steps):
+    grad = np.empty(len(theta))
+    for k, h in enumerate(steps):
+        e = np.zeros(len(theta))
+        e[k] = h
+        grad[k] = (objective(theta + e)[0] - objective(theta - e)[0]) / (2.0 * h)
+    return grad
+
+
+@pytest.mark.parametrize("region", [
+    REGION, ConvexPolygon([[0, 0], [200, 20], [180, 190], [30, 160]])],
+    ids=["rectangle", "polygon"])
+def test_fit_gradient_matches_central_differences(region):
+    """The analytic data term and the differenced log bump mass agree with
+    central differences of the objective itself at random points,
+    including weights near 0 and 1 and a centre outside the region."""
+    truth = ParametricDensity.from_mixture([120.0, 80.0], Q, 0.6, region)
+    objective = spatial._fit_objective(truth.sample(500, seed=3), region)
+    rng = np.random.default_rng(8)
+    thetas = []
+    for logit_w in (-12.0, -1.0, 0.5, 2.0, 12.0):
+        sd = rng.uniform(10.0, 60.0, 2)
+        l00, l11 = 1.0 / (math.sqrt(2.0) * sd)
+        thetas.append([*rng.uniform(30.0, 170.0, 2), math.log(l00), math.log(l11),
+                       rng.uniform(-0.5, 0.5) * l11, logit_w])
+    thetas.append([-30.0, 100.0, math.log(0.03), math.log(0.04), 0.01, 0.0])
+    for theta in np.array(thetas):
+        value, grad = objective(theta)
+        l11 = math.exp(theta[3])
+        steps = 1e-5 * np.array([1.0 / l11, 1.0 / l11, 1.0, 1.0, l11, 1.0])
+        numeric = _numeric_gradient(objective, theta, steps)
+        assert math.isfinite(value)
+        # atol: the objective (about 5e3) rounds to about 1e-12, so a
+        # difference over 2e-5 carries about 1e-7
+        np.testing.assert_allclose(grad, numeric, rtol=1e-5, atol=1e-6)
+
+
+def test_fit_objective_is_finite_across_its_box():
+    """A covariance too ill-conditioned to factor and a narrow bump far
+    outside the region, whose mass underflows, both score finite values
+    with finite gradients, so the search can back away from them."""
+    objective = spatial._fit_objective(
+        ParametricDensity.from_mixture([120.0, 80.0], Q, 0.6, REGION).sample(300, seed=4),
+        REGION)
+    start = objective(np.array([100.0, 100.0, math.log(0.01), math.log(0.01), 0.0, 0.0]))
+    for theta in ([100.0, 100.0, -15.0, -15.0, 50.0, 0.0],
+                  [-190.0, 390.0, 2.0, 2.0, 0.0, 30.0]):
+        value, grad = objective(np.array(theta))
+        assert math.isfinite(value) and bool(np.all(np.isfinite(grad)))
+        assert value > start[0]
+
+
+def _reference_fit(pts, region):
+    """The Nelder-Mead fit this package used before its gradient-based
+    search: two passes of a simplex over the same parameters, with the
+    weight itself in [0, 1], kept here as an oracle for the optimum."""
+    area = region.area
+    xmin, xmax, ymin, ymax = region.bounding_box
+    span_x, span_y = xmax - xmin, ymax - ymin
+
+    def unpack(theta):
+        cx, cy, s1, s2, l21, w = theta
+        low = np.array([[math.exp(s1), 0.0], [l21, math.exp(s2)]])
+        return np.array([cx, cy]), low @ low.T, w
+
+    def nll(theta):
+        cx, cy, s1, s2, l21, w = theta
+        if not (0.0 <= w <= 1.0) or abs(s1) > 30 or abs(s2) > 30 or abs(l21) > 1e6:
+            return np.inf
+        if not (xmin - span_x <= cx <= xmax + span_x
+                and ymin - span_y <= cy <= ymax + span_y):
+            return np.inf
+        centre, q, _ = unpack(theta)
+        try:
+            gauss = region.gaussian_mass(centre[None], np.linalg.inv(2.0 * q))[0]
+        except np.linalg.LinAlgError:
+            return np.inf
+        bump_mass = math.pi / math.sqrt(np.linalg.det(q)) * gauss
+        if bump_mass <= 0 or not np.isfinite(bump_mass):
+            return np.inf
+        d = pts - centre
+        quad = (d[:, 0] ** 2 * q[0, 0] + 2.0 * d[:, 0] * d[:, 1] * q[0, 1]
+                + d[:, 1] ** 2 * q[1, 1])
+        dens = (1.0 - w) / area + w * np.exp(-quad) / bump_mass
+        return -float(np.sum(np.log(np.clip(dens, 1e-300, None))))
+
+    low0 = np.linalg.cholesky(np.linalg.inv(2.0 * np.cov(pts.T)))
+    theta = np.array([*pts.mean(axis=0), math.log(low0[0, 0]), math.log(low0[1, 1]),
+                      low0[1, 0], 0.5])
+    for _ in range(2):
+        res = minimize(nll, theta, method="Nelder-Mead",
+                       options={"maxiter": 10_000, "maxfev": 40_000, "xatol": 1e-8,
+                                "fatol": 1e-9 * max(1.0, abs(nll(theta)))})
+        theta = res.x
+    centre, q, w = unpack(theta)
+    density = ParametricDensity.from_mixture(centre, q, min(max(w, 0.0), 1.0), region)
+    return max(density.log_likelihood(pts), -len(pts) * math.log(area))
+
+
+def _oracle_samples():
+    rng = np.random.default_rng(99)
+    for i in range(5):
+        scale = rng.uniform(0.001, 0.02)
+        q = np.array([[2.0 * scale, 0.3 * scale], [0.3 * scale, scale]])
+        truth = ParametricDensity.from_mixture(rng.uniform(40.0, 160.0, 2), q,
+                                               rng.uniform(0.2, 0.8), REGION)
+        yield f"bump{i}", truth.sample(2000, seed=500 + i)
+    yield "uniform", np.random.default_rng(17).uniform(0.0, 200.0, (400, 2))
+    edge = ParametricDensity.from_mixture([195.0, 100.0], 2.0 * Q, 0.5, REGION)
+    yield "edge", edge.sample(2000, seed=7)
+
+
+@pytest.mark.parametrize("name,pts", list(_oracle_samples()),
+                         ids=[name for name, _ in _oracle_samples()])
+def test_fit_reaches_the_nelder_mead_optimum(name, pts):
+    res = fit_parametric(pts, REGION)
+    assert res.converged
+    assert res.loglik >= _reference_fit(pts, REGION) - 1e-6
 
 
 def test_fit_error_carries_best_iterate():

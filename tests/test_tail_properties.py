@@ -1,7 +1,7 @@
 """Property tests for the Poisson-binomial null and the enhancement bound:
 the pmf sums to one, the exact tail is a probability that never rises
-with k, and ``c_min`` lies below ``c_hat`` whenever it is a root rather
-than the cap.
+with k, the Monte Carlo reads the report's tail at a count of 0, and
+``c_min`` lies below ``c_hat`` whenever it is a root rather than the cap.
 
 Probabilities range over [0, 1] with the ends and tiny values drawn on
 purpose.  Examples are derandomized so every run checks the same cases.
@@ -11,7 +11,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quakeval import exact_poisson_binomial, min_consistent_c, poisson_binomial_pmf
+from quakeval import (Circle, NullModel, ParametricDensity, Prediction, Rectangle,
+                      empirical_significance, exact_poisson_binomial, min_consistent_c,
+                      poisson_binomial_pmf)
 from quakeval.nulltest import poisson_binomial_tails
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -41,6 +43,25 @@ def test_exact_tail_is_non_increasing_in_k(probs):
     table = poisson_binomial_tails(probs)
     assert bool(np.all(np.diff(table) <= 0.0)) and table[0] <= 1.0 and table[-1] == 0.0
     assert tails[2:-1] == table[1:].tolist()
+    assert table[0] == 1.0
+
+
+def test_zero_count_level_is_the_report_tail_at_zero():
+    """A replicate with no hits gets exactly the report's P(X >= 0), even
+    where the pmf's rounding sums to a few ulps under one."""
+    uniform = ParametricDensity.uniform(Rectangle(0.0, 100.0, 0.0, 100.0))
+    zero_counts = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        starts = rng.uniform(0.0, 50.0, 6)
+        preds = [Prediction(s, s, s + d, Circle(50.0, 50.0, r), 5.0) for s, d, r
+                 in zip(starts, rng.uniform(0.0, 10.0, 6), rng.uniform(1.0, 10.0, 6))]
+        sim = empirical_significance(NullModel(20, 100.0, uniform, seed=seed), preds, 20)
+        zero = sim.success_counts == 0
+        at_zero = exact_poisson_binomial(sim.probabilities, 0)
+        assert bool(np.all(sim.summary.samples[zero] == at_zero))
+        zero_counts += int(zero.sum())
+    assert zero_counts > 0
 
 
 @PROPERTY
