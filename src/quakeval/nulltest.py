@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .catalog import Catalog, Prediction, validate_predictions_against
+from .catalog import Catalog, Prediction, _pair_blocks, validate_predictions_against
 from .errors import ValidationError
 from .spatial import SpatialDensity
 
@@ -150,17 +150,23 @@ def alarm_groups(predictions: list[Prediction]) -> list[tuple]:
 
 
 def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
-               ys: np.ndarray, mags: np.ndarray) -> int:
+               ys: np.ndarray, mags: np.ndarray,
+               bounds: tuple[np.ndarray, np.ndarray] | None = None) -> int:
     """Number of predictions with a qualifying event in window and region.
 
     ``groups`` comes from ``alarm_groups``; the event columns may come
     in any order, as each group sorts the times of its qualifying events.
     Windows are inclusive at both ends and magnitudes qualify at the
-    threshold.
+    threshold.  ``bounds``, when given, holds for each group the start
+    and stop of the slice of the event columns outside which no event
+    falls in any of its windows; only that slice is tested against the
+    group's region.  Without it every event is tested.
     """
     hits = 0
-    for region, min_mag, starts, ends in groups:
-        ev = np.sort(times[(mags >= min_mag) & region.contains(xs, ys)])
+    for g, (region, min_mag, starts, ends) in enumerate(groups):
+        sl = slice(None) if bounds is None else slice(bounds[0][g], bounds[1][g])
+        t, x, y, m = times[sl], xs[sl], ys[sl], mags[sl]
+        ev = np.sort(t[(m >= min_mag) & region.contains(x, y)])
         lo = np.searchsorted(ev, starts, side="left")
         hi = np.searchsorted(ev, ends, side="right")
         hits += int(np.count_nonzero(hi > lo))
@@ -168,9 +174,16 @@ def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
 
 
 def count_successes(catalog: Catalog, predictions: list[Prediction]) -> int:
-    """Number of predictions that a catalog event satisfies."""
-    return count_hits(alarm_groups(predictions), catalog.times, catalog.xs,
-                      catalog.ys, catalog.magnitudes)
+    """Number of predictions that a catalog event satisfies.
+
+    The catalog is sorted by time, so each alarm group tests only the
+    events between its earliest window start and its latest window end.
+    """
+    groups = alarm_groups(predictions)
+    t = catalog.times
+    bounds = (np.searchsorted(t, [starts.min() for _, _, starts, _ in groups], side="left"),
+              np.searchsorted(t, [ends.max() for _, _, _, ends in groups], side="right"))
+    return count_hits(groups, t, catalog.xs, catalog.ys, catalog.magnitudes, bounds)
 
 
 def poisson_binomial_pmf(probs) -> np.ndarray:
@@ -297,7 +310,11 @@ def overlap_fraction(predictions: list[Prediction]) -> float:
 
     Spatial overlap is judged on bounding boxes, so this errs on the
     large side; it gauges how far the independence assumption behind
-    the Poisson-binomial null is stretched.
+    the Poisson-binomial null is stretched.  Windows overlap when each
+    starts strictly before the other ends.  A sweep over the sorted
+    window starts pairs each window only with the later-starting ones
+    that open before it closes, so the work grows with the number of
+    pairs overlapping in time, not with m^2.
     """
     m = len(predictions)
     if m < 2:
@@ -305,13 +322,16 @@ def overlap_fraction(predictions: list[Prediction]) -> float:
     starts = np.array([p.window_start for p in predictions])
     ends = np.array([p.window_end for p in predictions])
     boxes = np.array([p.region.bounding_box for p in predictions])
+    order = np.argsort(starts, kind="stable")
+    starts, ends, boxes = starts[order], ends[order], boxes[order]
+    # sorted positions after i that open before window i closes
+    stop = np.searchsorted(starts, ends, side="left")
     pairs = 0
-    for i in range(m - 1):
-        t_olap = (starts[i + 1:] < ends[i]) & (starts[i] < ends[i + 1:])
-        b = boxes[i + 1:]
-        s_olap = ((boxes[i, 0] <= b[:, 1]) & (b[:, 0] <= boxes[i, 1])
-                  & (boxes[i, 2] <= b[:, 3]) & (b[:, 2] <= boxes[i, 3]))
-        pairs += int(np.count_nonzero(t_olap & s_olap))
+    for _, i, j in _pair_blocks(np.arange(1, m + 1), stop):
+        bi, bj = boxes[i], boxes[j]
+        pairs += int(np.count_nonzero(
+            (starts[i] < ends[j]) & (bi[:, 0] <= bj[:, 1]) & (bj[:, 0] <= bi[:, 1])
+            & (bi[:, 2] <= bj[:, 3]) & (bj[:, 2] <= bi[:, 3])))
     return pairs / (m * (m - 1) / 2)
 
 

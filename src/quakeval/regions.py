@@ -8,9 +8,11 @@ its bounding box, point membership, whether it fully contains another
 shape, how to draw uniform samples from itself, and the mass it holds
 under a bivariate Gaussian.
 
-``gaussian_mass(means, cov)`` gives P(N(mean_i, cov) in shape) for each
-row of ``means``; both density families are built from it.  Accuracy
-does not depend on how narrow the kernel is against the shape:
+``gaussian_masses(regions, means, cov)`` gives P(N(mean_j, cov) in
+region i) for every region and every row of ``means`` in one call, and
+each shape's ``gaussian_mass(means, cov)`` is that call for one region;
+both density families are built from it.  Accuracy does not depend on
+how narrow the kernel is against the shape:
 
 * Rectangles and convex polygons are closed form (Owen's T function per
   edge, after whitening): absolute error about 1e-15 per edge.
@@ -27,7 +29,7 @@ products, ``chndtr`` and ``dblquad`` on the whitened problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.special import ndtr, owens_t, roots_legendre
@@ -37,6 +39,7 @@ from .errors import QuakevalError, ValidationError
 _EDGE_TOL = 1e-9
 _EVAL_CHUNK = 4_000_000  # elements per temporary array in blocked kernel work
 _SD_CUT = 8.0  # a Gaussian carries 1.2e-15 of its mass beyond 8 SD
+_PM = np.array([-1.0, 1.0])
 _GL_X, _GL_W = roots_legendre(64)
 
 
@@ -76,11 +79,15 @@ class Rectangle:
         pts[:, 1] = self.y_min + pts[:, 1] * (self.y_max - self.y_min)
         return pts
 
+    @property
+    def vertices(self) -> np.ndarray:
+        """The four corners, counterclockwise from (x_min, y_min)."""
+        return np.array([(self.x_min, self.y_min), (self.x_max, self.y_min),
+                         (self.x_max, self.y_max), (self.x_min, self.y_max)])
+
     def gaussian_mass(self, means, cov) -> np.ndarray:
         """P(N(mean_i, cov) in the rectangle) for each row of ``means``."""
-        corners = np.array([(self.x_min, self.y_min), (self.x_max, self.y_min),
-                            (self.x_max, self.y_max), (self.x_min, self.y_max)])
-        return _polygon_gaussian_mass(corners, means, cov)
+        return gaussian_masses([self], means, cov)[0]
 
     def to_dict(self) -> dict:
         return {"type": "rectangle", "x_min": self.x_min, "x_max": self.x_max,
@@ -123,48 +130,8 @@ class Circle:
                                 self.cy + rho * np.sin(theta)])
 
     def gaussian_mass(self, means, cov) -> np.ndarray:
-        """P(N(mean_i, cov) in the circle) for each row of ``means``.
-
-        In the principal frame of ``cov`` the kernel factorizes and the
-        circle stays a circle.  With x = cx + r sin(theta) the chord's
-        y-mass is an exact ``ndtr`` difference, and theta is integrated
-        by Gauss-Legendre on sub-intervals cut where the x-Gaussian or
-        either chord end crosses the kernel's +-8 SD band; sub-intervals
-        outside the band carry nothing and are dropped.
-        """
-        lam, rot = np.linalg.eigh(np.asarray(cov, dtype=float))
-        sx, sy = np.sqrt(lam)
-        r = self.radius
-        # circle centre relative to each kernel mean, in the principal frame
-        off = (np.array([self.cx, self.cy]) - _as_means(means)) @ rot
-        # 8 cut points per kernel bound 7 sub-intervals of len(_GL_X) nodes
-        step = max(1, _EVAL_CHUNK // (7 * len(_GL_X)))
-
-        def block(o: np.ndarray) -> np.ndarray:
-            ox, oy = o[:, :1], o[:, 1:]
-            half_pi = np.full_like(ox, 0.5 * np.pi)
-            x_cut = np.arcsin(np.clip((np.array([-1.0, 1.0]) * _SD_CUT * sx - ox) / r,
-                                      -1.0, 1.0))
-            # a chord end crosses the band edges where cos(theta) takes these
-            # values; above 1 there is no crossing, and the cut falls on the end
-            y_cos = np.abs(_SD_CUT * sy + np.array([-1.0, 1.0]) * oy) / r
-            y_cos = np.where(y_cos < 1.0, np.arccos(np.minimum(y_cos, 1.0)), 0.5 * np.pi)
-            cuts = np.sort(np.hstack([-half_pi, half_pi, x_cut, y_cos, -y_cos]), axis=1)
-            lo, hi = cuts[:, :-1], cuts[:, 1:]
-            mid = 0.5 * (lo + hi)
-            live = ((hi > lo) & (np.abs(ox + r * np.sin(mid)) < _SD_CUT * sx)
-                    & (oy + r * np.cos(mid) > -_SD_CUT * sy)
-                    & (oy - r * np.cos(mid) < _SD_CUT * sy))
-            k, j = np.nonzero(live)
-            centre, half = mid[k, j, None], 0.5 * (hi - lo)[k, j, None]
-            theta = centre + half * _GL_X
-            x = ox[k] + r * np.sin(theta)
-            chord = r * np.cos(theta)
-            f = (np.exp(-0.5 * (x / sx) ** 2) / (sx * np.sqrt(2.0 * np.pi))
-                 * (ndtr((oy[k] + chord) / sy) - ndtr((oy[k] - chord) / sy)) * chord)
-            return np.bincount(k, weights=(f @ _GL_W) * half[:, 0], minlength=len(o))
-
-        return _blocked(off, step, block)
+        """P(N(mean_i, cov) in the circle) for each row of ``means``."""
+        return gaussian_masses([self], means, cov)[0]
 
     def to_dict(self) -> dict:
         return {"type": "circle", "cx": self.cx, "cy": self.cy, "radius": self.radius}
@@ -244,7 +211,7 @@ class ConvexPolygon:
 
     def gaussian_mass(self, means, cov) -> np.ndarray:
         """P(N(mean_i, cov) in the polygon) for each row of ``means``."""
-        return _polygon_gaussian_mass(self._v, means, cov)
+        return gaussian_masses([self], means, cov)[0]
 
     def to_dict(self) -> dict:
         return {"type": "polygon", "vertices": self._v.tolist()}
@@ -276,19 +243,109 @@ def _as_means(means) -> np.ndarray:
     return m
 
 
-def _blocked(rows: np.ndarray, step: int,
-             block: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Apply ``block`` to ``step`` rows at a time; masses clipped to [0, 1]."""
-    out = np.empty(len(rows))
-    for start in range(0, len(rows), step):
-        out[start:start + step] = block(rows[start:start + step])
+def gaussian_masses(regions: Sequence[Region], means, cov) -> np.ndarray:
+    """P(N(mean_j, cov) in regions[i]), shape (len(regions), len(means)).
+
+    The circles go through the circle rule in one call, and the polygons
+    (rectangles among them) through the polygon rule in one call per
+    vertex count.  Each mass depends only on its region, its mean and
+    ``cov``, not on what else is in the list.
+    """
+    m = _as_means(means)
+    cov = np.asarray(cov, dtype=float)
+    out = np.empty((len(regions), len(m)))
+    # circles as (cx, cy, radius) under key 0, polygons by vertex count
+    groups: dict[int, list[tuple]] = {}
+    for i, region in enumerate(regions):
+        if isinstance(region, Circle):
+            groups.setdefault(0, []).append((i, (region.cx, region.cy, region.radius)))
+        else:
+            v = region.vertices
+            groups.setdefault(len(v), []).append((i, v))
+    for size, members in groups.items():
+        idx, shapes = zip(*members)
+        rule = _circle_masses if size == 0 else _polygon_masses
+        out[list(idx)] = rule(np.array(shapes), m, cov)
+    return out
+
+
+def _blocked(n_shapes: int, means: np.ndarray, step: int,
+             block: Callable[[slice, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Masses of every (shape, mean) pair, shape (n_shapes, len(means)),
+    clipped to [0, 1].  ``block(shapes, means)`` gets a slice of the
+    shapes and a run of the means, at most ``step`` pairs between them,
+    and returns their (shapes, means) table, so no array grows with the
+    number of pairs but the result."""
+    n = len(means)
+    out = np.empty((n_shapes, n))
+    cols = max(1, min(n, step))
+    rows = max(1, step // cols)
+    for s in range(0, n_shapes, rows):
+        for c in range(0, n, cols):
+            out[s:s + rows, c:c + cols] = block(slice(s, s + rows), means[c:c + cols])
     return np.clip(out, 0.0, 1.0)
 
 
-def _polygon_gaussian_mass(vertices: np.ndarray, means, cov) -> np.ndarray:
-    """Closed-form Gaussian mass of a convex polygon (counterclockwise).
+def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Gaussian masses of circles, given as rows of (cx, cy, radius), under
+    N(mean, cov) for every row of ``means``.
 
-    Whitening by the Cholesky factor of ``cov`` maps the polygon to a
+    The rule works on rows of (circle centre minus kernel mean, radius).
+    In the principal frame of ``cov`` the kernel factorizes and the
+    circle stays a circle.  With x = cx + r sin(theta) the chord's
+    y-mass is an exact ``ndtr`` difference, and theta is integrated by
+    Gauss-Legendre on sub-intervals cut where the x-Gaussian or either
+    chord end crosses the kernel's +-8 SD band; sub-intervals outside
+    the band carry nothing and are dropped.
+    """
+    lam, rot = np.linalg.eigh(cov)
+    sx, sy = np.sqrt(lam)
+    # 8 cut points per row bound 7 sub-intervals of len(_GL_X) nodes
+    step = max(1, _EVAL_CHUNK // (7 * len(_GL_X)))
+
+    def block(shapes: slice, m: np.ndarray) -> np.ndarray:
+        c = circles[shapes]
+        # circle centre relative to each kernel mean, in the principal
+        # frame, one row per (circle, mean) pair
+        o = (c[:, None, :2] - m).reshape(-1, 2) @ rot
+        r = np.repeat(c[:, 2:], len(m), axis=0)
+        ox, oy = o[:, :1], o[:, 1:]
+        half_pi = np.full_like(ox, 0.5 * np.pi)
+        x_cut = np.arcsin(np.minimum(np.maximum((_PM * _SD_CUT * sx - ox) / r, -1.0), 1.0))
+        # a chord end crosses the band edges where cos(theta) takes these
+        # values; above 1 there is no crossing, and the cut falls on the end
+        y_cos = np.abs(_SD_CUT * sy + _PM * oy) / r
+        y_cos = np.where(y_cos < 1.0, np.arccos(np.minimum(y_cos, 1.0)), 0.5 * np.pi)
+        cuts = np.concatenate([-half_pi, half_pi, x_cut, y_cos, -y_cos], axis=1)
+        cuts.sort(axis=1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        mid = 0.5 * (lo + hi)
+        chord_mid = r * np.cos(mid)
+        live = ((hi > lo) & (np.abs(ox + r * np.sin(mid)) < _SD_CUT * sx)
+                & (oy + chord_mid > -_SD_CUT * sy) & (oy - chord_mid < _SD_CUT * sy))
+        k, j = np.nonzero(live)
+        centre, half = mid[k, j, None], 0.5 * (hi - lo)[k, j, None]
+        theta = centre + half * _GL_X
+        rk, oyk = r[k], oy[k]
+        x = ox[k] + rk * np.sin(theta)
+        chord = rk * np.cos(theta)
+        f = (np.exp(-0.5 * (x / sx) ** 2) / (sx * np.sqrt(2.0 * np.pi))
+             * (ndtr((oyk + chord) / sy) - ndtr((oyk - chord) / sy)) * chord)
+        # a sum per row, not a BLAS matrix product, whose rounding would
+        # depend on how many rows share the call
+        mass = np.bincount(k, weights=np.einsum("ij,j->i", f, _GL_W) * half[:, 0],
+                           minlength=len(o))
+        return mass.reshape(len(c), len(m))
+
+    return _blocked(len(circles), means, step, block)
+
+
+def _polygon_masses(vertices: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Closed-form Gaussian masses of convex polygons with the same vertex
+    count (``vertices`` of shape (polygons, k, 2), counterclockwise) under
+    N(mean, cov) for every row of ``means``.
+
+    Whitening by the Cholesky factor of ``cov`` maps a polygon to a
     convex polygon of the same orientation under a standard normal.  Its
     mass is the sum over edges (a, b) of the signed mass of the triangle
     (0, a, b): with d the signed distance of the origin from the edge
@@ -298,27 +355,30 @@ def _polygon_gaussian_mass(vertices: np.ndarray, means, cov) -> np.ndarray:
     orientation.  An edge whose line passes through the origin spans a
     degenerate triangle and adds nothing.
     """
-    low_inv = np.linalg.inv(np.linalg.cholesky(np.asarray(cov, dtype=float)))
+    low_inv = np.linalg.inv(np.linalg.cholesky(cov))
     # whitened edges are the same for every kernel
-    e = (np.roll(vertices, -1, axis=0) - vertices) @ low_inv.T
-    length = np.hypot(e[:, 0], e[:, 1])
+    e = (np.concatenate([vertices[:, 1:], vertices[:, :1]], axis=1) - vertices) @ low_inv.T
+    length = np.hypot(e[..., 0], e[..., 1])
     # a repeated vertex makes an edge of length 0: u = 0, so d = 0 below
-    ux, uy = (e / np.maximum(length, 1e-300)[:, None]).T
-    step = max(1, _EVAL_CHUNK // len(vertices))
+    u = e / np.maximum(length, 1e-300)[..., None]
+    ux, uy = u[..., 0], u[..., 1]
+    # the (polygons, means, k, 2) vertex offsets are the largest temporaries
+    step = max(1, _EVAL_CHUNK // (2 * vertices.shape[1]))
 
-    def block(m: np.ndarray) -> np.ndarray:
-        a = (vertices[None, :, :] - m[:, None, :]) @ low_inv.T
-        d = a[..., 0] * uy - a[..., 1] * ux
-        t_a = a[..., 0] * ux + a[..., 1] * uy
+    def block(shapes: slice, m: np.ndarray) -> np.ndarray:
+        a = (vertices[shapes, None] - m[:, None, :]) @ low_inv.T
+        vx, vy = ux[shapes, None], uy[shapes, None]
+        d = a[..., 0] * vy - a[..., 1] * vx
+        t_a = a[..., 0] * vx + a[..., 1] * vy
         # a triangle this close to degenerate carries less mass than 1e-200
         on_line = np.abs(d) < 1e-200
         d = np.where(on_line, 1.0, d)
-        ra, rb = t_a / d, (t_a + length) / d
+        ra, rb = t_a / d, (t_a + length[shapes, None]) / d
         wedge = ((np.arctan(rb) - np.arctan(ra)) / (2.0 * np.pi)
                  - (owens_t(d, rb) - owens_t(d, ra)))
-        return np.where(on_line, 0.0, wedge).sum(axis=1)
+        return np.where(on_line, 0.0, wedge).sum(axis=-1)
 
-    return _blocked(_as_means(means), step, block)
+    return _blocked(len(vertices), means, step, block)
 
 
 def sample_inside(region: Region, count: int,
@@ -363,11 +423,7 @@ def contains_region(outer: Region, inner: Region) -> bool:
     a convex shape is inside another convex shape iff its extreme points
     are.  A relative slack of ~1e-9 keeps region-in-itself checks stable.
     """
-    if isinstance(inner, Rectangle):
-        corners = np.array([(inner.x_min, inner.y_min), (inner.x_min, inner.y_max),
-                            (inner.x_max, inner.y_min), (inner.x_max, inner.y_max)])
-        return bool(np.all(outer.contains(corners[:, 0], corners[:, 1])))
-    if isinstance(inner, ConvexPolygon):
+    if isinstance(inner, (Rectangle, ConvexPolygon)):
         v = inner.vertices
         return bool(np.all(outer.contains(v[:, 0], v[:, 1])))
     # inner is a circle

@@ -38,8 +38,8 @@ from scipy.optimize import minimize
 
 from .catalog import _parse_float, _read_table, _write_table
 from .errors import FitError, QuakevalError, ValidationError
-from .regions import (_EVAL_CHUNK, Region, contains_region, region_from_dict,
-                      sample_inside)
+from .regions import (_EVAL_CHUNK, Region, contains_region, gaussian_masses,
+                      region_from_dict, sample_inside)
 
 
 def _as_points(points) -> np.ndarray:
@@ -70,18 +70,32 @@ def _quad_form(pts: np.ndarray, x_c: np.ndarray, q: np.ndarray) -> np.ndarray:
             + d[:, 1] ** 2 * q[1, 1])
 
 
-def _bump_mass(region: Region, x_c: np.ndarray, q: np.ndarray) -> float:
-    """Mass of exp(-(x - x_c)' Q (x - x_c)) over a region: pi / sqrt(det Q)
-    times the mass of N(x_c, (2Q)^-1) there."""
-    gauss = region.gaussian_mass(np.reshape(x_c, (1, 2)), np.linalg.inv(2.0 * q))
-    return math.pi / math.sqrt(np.linalg.det(q)) * float(gauss[0])
+def _bump_frame(q: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(-(x - x_c)' Q (x - x_c)) is pi / sqrt(det Q) times the density of
+    N(x_c, (2Q)^-1): that covariance and that factor."""
+    return np.linalg.inv(2.0 * q), math.pi / math.sqrt(np.linalg.det(q))
 
 
-def _probability(mass: float) -> float:
-    """A computed region mass clipped to [0, 1]; NaN or inf is an error."""
-    if not math.isfinite(mass):
-        raise QuakevalError(f"region mass came out as {mass!r}, not a finite number")
-    return min(max(mass, 0.0), 1.0)
+def _bump_masses(regions: Sequence[Region], x_c: np.ndarray,
+                 frame: tuple[np.ndarray, float]) -> np.ndarray:
+    """Mass of exp(-(x - x_c)' Q (x - x_c)) over each region, given Q's
+    ``_bump_frame``."""
+    cov, factor = frame
+    return factor * gaussian_masses(regions, np.reshape(x_c, (1, 2)), cov)[:, 0]
+
+
+def _probabilities(masses: np.ndarray) -> np.ndarray:
+    """Computed region masses clipped to [0, 1]; NaN or inf is an error."""
+    if not np.isfinite(masses).all():
+        bad = masses[~np.isfinite(masses)]
+        raise QuakevalError(f"region mass came out as {float(bad[0])!r}, "
+                            "not a finite number")
+    return np.minimum(np.maximum(masses, 0.0), 1.0)
+
+
+def _check_inside(region: Region, subregions: Sequence[Region]) -> None:
+    if not all(contains_region(region, r) for r in subregions):
+        raise ValidationError("subregion escapes the model's region")
 
 
 class ParametricDensity:
@@ -101,8 +115,9 @@ class ParametricDensity:
         if not np.isfinite(p1) or p1 < 0:
             raise ValidationError("bump amplitude p1 must be finite and >= 0")
         self.p1 = float(p1)
+        self._bump_gauss = _bump_frame(self.q_matrix)
         self.bump_mass = 0.0 if self.p1 == 0.0 \
-            else _bump_mass(region, self.x_c, self.q_matrix)
+            else float(_bump_masses([region], self.x_c, self._bump_gauss)[0])
         weight = self.p1 * self.bump_mass
         if weight > 1.0 + 1e-9:
             raise ValidationError(
@@ -117,8 +132,8 @@ class ParametricDensity:
             raise ValidationError("bump weight must lie in [0, 1]")
         if weight == 0.0:
             return cls(x_c, q_matrix, 0.0, region)
-        mass = _bump_mass(region, np.asarray(x_c, dtype=float),
-                          _check_spd(q_matrix, "Q"))
+        mass = _bump_masses([region], np.asarray(x_c, dtype=float),
+                            _bump_frame(_check_spd(q_matrix, "Q")))[0]
         if not mass > 0.0:
             raise ValidationError("the bump has no mass inside the region to carry "
                                   f"weight {weight:g}")
@@ -150,14 +165,19 @@ class ParametricDensity:
             raise ValidationError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the region")
         return self._values(pts)
 
+    def masses(self, regions: Sequence[Region]) -> np.ndarray:
+        """Probability mass of each region, in order; every region must lie
+        inside the model's region.  The bump's masses come from one
+        ``gaussian_masses`` call."""
+        _check_inside(self.region, regions)
+        mass = self.p0 * np.array([r.area for r in regions], dtype=float)
+        if self.p1 > 0:
+            mass += self.p1 * _bump_masses(regions, self.x_c, self._bump_gauss)
+        return _probabilities(mass)
+
     def integrate(self, subregion: Region) -> float:
         """Probability mass of a subregion (must lie inside the region)."""
-        if not contains_region(self.region, subregion):
-            raise ValidationError("subregion escapes the model's region")
-        mass = self.p0 * subregion.area
-        if self.p1 > 0:
-            mass += self.p1 * _bump_mass(subregion, self.x_c, self.q_matrix)
-        return _probability(mass)
+        return float(self.masses([subregion])[0])
 
     def log_likelihood(self, points) -> float:
         return float(np.sum(np.log(np.clip(self.evaluate(points), 1e-300, None))))
@@ -221,7 +241,7 @@ class KernelDensity:
         self.bandwidth = _check_spd(bandwidth, "bandwidth")
         self._h_inv = np.linalg.inv(self.bandwidth)
         self._norm_kernel = 1.0 / (2.0 * np.pi * math.sqrt(np.linalg.det(self.bandwidth)))
-        self.normalization = self._raw_mass(region)
+        self.normalization = float(self._raw_masses([region])[0])
         if self.normalization <= 1e-12:
             raise ValidationError("kernel mass inside the region is numerically zero")
         self.points.flags.writeable = False
@@ -241,9 +261,16 @@ class KernelDensity:
             out[start:start + len(blk)] = np.exp(-0.5 * q).mean(axis=1)
         return self._norm_kernel * out
 
-    def _raw_mass(self, region: Region) -> float:
-        """Unnormalized kernel mass of a region: the mean kernel mass."""
-        return float(np.mean(region.gaussian_mass(self.points, self.bandwidth)))
+    def _raw_masses(self, regions: Sequence[Region]) -> np.ndarray:
+        """Unnormalized kernel mass of each region: its mean kernel mass.
+        Regions go to ``gaussian_masses`` in runs small enough that the
+        (regions, kernels) table stays within ``_EVAL_CHUNK`` entries."""
+        out = np.empty(len(regions))
+        step = max(1, _EVAL_CHUNK // len(self.points))
+        for start in range(0, len(regions), step):
+            out[start:start + step] = gaussian_masses(
+                regions[start:start + step], self.points, self.bandwidth).mean(axis=1)
+        return out
 
     def evaluate(self, points) -> np.ndarray:
         pts = _as_points(points)
@@ -253,10 +280,15 @@ class KernelDensity:
             raise ValidationError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the region")
         return self._raw(pts) / self.normalization
 
+    def masses(self, regions: Sequence[Region]) -> np.ndarray:
+        """Probability mass of each region, in order; every region must lie
+        inside the model's region."""
+        _check_inside(self.region, regions)
+        return _probabilities(self._raw_masses(regions) / self.normalization)
+
     def integrate(self, subregion: Region) -> float:
-        if not contains_region(self.region, subregion):
-            raise ValidationError("subregion escapes the model's region")
-        return _probability(self._raw_mass(subregion) / self.normalization)
+        """Probability mass of a subregion (must lie inside the region)."""
+        return float(self.masses([subregion])[0])
 
     def sample(self, count: int, seed: int) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

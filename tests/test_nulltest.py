@@ -12,7 +12,9 @@ from quakeval import (Catalog, Circle, ConvexPolygon, ParametricDensity,
                       enhancement_estimate, exact_poisson_binomial,
                       min_consistent_c, overlap_fraction,
                       poisson_binomial_pmf, significance_report)
+from quakeval import catalog as catalog_module
 from quakeval.catalog import parse_earthquakes, parse_predictions
+from quakeval.nulltest import alarm_groups, count_hits
 
 REGION = Rectangle(0.0, 200.0, 0.0, 200.0)
 
@@ -256,6 +258,9 @@ def test_count_successes_matches_loop_reference():
     expected = [hits(p) for p in preds]
     assert 0 < sum(expected) < len(preds)
     assert count_successes(cat, preds) == sum(expected)
+    # the plain scan over every event, as the Monte Carlo runs it
+    assert count_hits(alarm_groups(preds), cat.times, cat.xs, cat.ys,
+                      cat.magnitudes) == sum(expected)
     for p, hit in zip(preds, expected):
         assert count_successes(cat, [p]) == hit
 
@@ -315,6 +320,45 @@ def test_overlap_fraction_hand_cases():
         Prediction(0.0, 2.0, 7.0, Rectangle(20, 30, 0, 10), 5.0)]
     assert overlap_fraction(spatial_disjoint) == 0.0
     assert overlap_fraction([Prediction(0.0, 0.0, 5.0, r, 5.0)]) == 0.0
+
+
+def _overlap_fraction_loop(predictions) -> float:
+    """The O(m^2) row loop the sweep replaced: each row against every
+    later row."""
+    m = len(predictions)
+    starts = np.array([p.window_start for p in predictions])
+    ends = np.array([p.window_end for p in predictions])
+    boxes = np.array([p.region.bounding_box for p in predictions])
+    pairs = 0
+    for i in range(m - 1):
+        t_olap = (starts[i + 1:] < ends[i]) & (starts[i] < ends[i + 1:])
+        b = boxes[i + 1:]
+        s_olap = ((boxes[i, 0] <= b[:, 1]) & (b[:, 0] <= boxes[i, 1])
+                  & (boxes[i, 2] <= b[:, 3]) & (b[:, 2] <= boxes[i, 3]))
+        pairs += int(np.count_nonzero(t_olap & s_olap))
+    return pairs / (m * (m - 1) / 2)
+
+
+@pytest.mark.parametrize("block", [1 << 15, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_overlap_fraction_matches_the_pairwise_loop(monkeypatch, seed, block):
+    """Integer window ends make ties in time common, a third of the windows
+    have zero length, and half the regions share their bounding boxes."""
+    monkeypatch.setattr(catalog_module, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 150))
+    shared = [Rectangle(0, 100, 0, 100), Circle(50.0, 50.0, 20.0), Rectangle(60, 90, 10, 40)]
+    preds = []
+    for _ in range(m):
+        start = float(rng.integers(0, 40))
+        end = start + float(rng.choice([0, 0, 0, 1, 2, 5, 30]) if seed % 2 else rng.integers(0, 8))
+        region = shared[rng.integers(3)] if rng.random() < 0.5 else \
+            Circle(*rng.uniform(20.0, 180.0, 2), float(rng.uniform(1.0, 20.0)))
+        preds.append(Prediction(0.0, start, end, region, 5.0))
+    want = _overlap_fraction_loop(preds)
+    assert 0.0 < want
+    assert overlap_fraction(preds) == want
+    assert overlap_fraction(preds[::-1]) == want
 
 
 def test_significance_report_on_fixture(datadir):

@@ -6,8 +6,10 @@ from scipy.integrate import dblquad
 from scipy.linalg import solve_triangular
 from scipy.special import chndtr, ndtr
 
-from quakeval import (Circle, ConvexPolygon, Rectangle, ValidationError,
-                      contains_region, region_from_dict)
+from quakeval import (Circle, ConvexPolygon, KernelDensity, ParametricDensity,
+                      Rectangle, ValidationError, contains_region, region_from_dict,
+                      spatial)
+from quakeval.regions import gaussian_masses
 
 
 def test_rectangle_basics():
@@ -236,3 +238,110 @@ def test_contains_region_cases():
     poly = ConvexPolygon([[0, 0], [10, 0], [10, 10], [0, 10]])
     assert contains_region(poly, Circle(5.0, 5.0, 4.0))
     assert not contains_region(poly, Circle(9.5, 5.0, 1.0))
+
+
+# ------------------------------------------------------------ batched masses
+
+STUDY = Rectangle(0.0, 1000.0, 0.0, 1000.0)
+MIXED = [DISC, Circle(620.0, 380.0, 40.0), POLY, Rectangle(600.0, 700.0, 100.0, 180.0),
+         ConvexPolygon([[700, 600], [900, 650], [800, 800]]),
+         ConvexPolygon([[200, 800], [300, 800], [300, 900], [200, 900]]),
+         ConvexPolygon([[450, 50], [550, 80], [600, 160], [520, 230], [430, 180], [400, 100]]),
+         RECT, Circle(620.0, 380.0, 40.0), POLY, Rectangle(600.0, 700.0, 100.0, 180.0)]
+
+
+def _isotropic_mass(region, mean, sd: float) -> float:
+    """Mass of N(mean, sd^2 I) in a region by an oracle independent of the
+    package: noncentral chi^2 for circles, ndtr products for rectangles,
+    whitened dblquad for polygons."""
+    mean = np.asarray(mean, dtype=float)
+    if isinstance(region, Circle):
+        dist2 = (mean[0] - region.cx) ** 2 + (mean[1] - region.cy) ** 2
+        return float(chndtr((region.radius / sd) ** 2, 2, dist2 / sd ** 2))
+    if isinstance(region, Rectangle):
+        return float((ndtr((region.x_max - mean[0]) / sd) - ndtr((region.x_min - mean[0]) / sd))
+                     * (ndtr((region.y_max - mean[1]) / sd) - ndtr((region.y_min - mean[1]) / sd)))
+    return _whitened_polygon_mass(region.vertices, mean, np.eye(2) * sd * sd)
+
+
+def _tolerance(region) -> float:
+    return 1e-10 if isinstance(region, ConvexPolygon) else 1e-12
+
+
+def test_gaussian_masses_batch_matches_oracles_in_input_order():
+    """Circles, polygons of 3 to 6 vertices, rectangles and repeats in one
+    call: every mass sits at its region's place, matches its oracle, and
+    equals the one-region call bit for bit."""
+    sd = 90.0
+    means = np.array([[500.0, 500.0], [640.0, 150.0], [250.0, 820.0]])
+    got = gaussian_masses(MIXED, means, np.eye(2) * sd * sd)
+    assert got.shape == (len(MIXED), len(means))
+    for region, row in zip(MIXED, got):
+        assert np.array_equal(row, region.gaussian_mass(means, np.eye(2) * sd * sd))
+        for mean, mass in zip(means, row):
+            assert mass == pytest.approx(_isotropic_mass(region, mean, sd),
+                                         abs=_tolerance(region)), (region, mean)
+    assert gaussian_masses([], means, np.eye(2)).shape == (0, 3)
+
+
+def test_parametric_masses_match_oracles_in_input_order():
+    sd = 70.0
+    centre = [600.0, 400.0]
+    d = ParametricDensity.from_mixture(centre, np.eye(2) / (2.0 * sd * sd), 0.4, STUDY)
+    got = d.masses(MIXED)
+    assert len(got) == len(MIXED)
+    scale = math.pi * 2.0 * sd * sd  # pi / sqrt(det Q)
+    for region, mass in zip(MIXED, got):
+        want = d.p0 * region.area + d.p1 * scale * _isotropic_mass(region, centre, sd)
+        assert mass == pytest.approx(want, abs=_tolerance(region)), region
+        assert mass == d.integrate(region)
+
+
+def test_kde_masses_match_oracles_in_input_order():
+    sd = 60.0
+    points = np.array([[500.0, 500.0], [640.0, 380.0], [60.0, 950.0]])
+    kde = KernelDensity(points, np.eye(2) * sd * sd, STUDY)
+    norm = np.mean([_isotropic_mass(STUDY, pt, sd) for pt in points])
+    got = kde.masses(MIXED)
+    assert len(got) == len(MIXED)
+    for region, mass in zip(MIXED, got):
+        want = np.mean([_isotropic_mass(region, pt, sd) for pt in points]) / norm
+        assert mass == pytest.approx(want, abs=_tolerance(region)), region
+        assert mass == kde.integrate(region)
+
+
+def test_kde_masses_in_runs_equal_one_run(monkeypatch):
+    """Regions go to the kernels in runs that bound the (regions, kernels)
+    table; runs of one region give the same masses."""
+    kde = KernelDensity([[500.0, 500.0], [640.0, 380.0]], np.diag([900.0, 2500.0]), STUDY)
+    whole = kde.masses(MIXED)
+    monkeypatch.setattr(spatial, "_EVAL_CHUNK", 1)
+    assert np.array_equal(kde.masses(MIXED), whole)
+
+
+def test_masses_on_a_score_sized_circle_set_match_the_per_circle_loop():
+    """500 circles of radius 10-60 km, half near a correlated bump, as in
+    the benchmark's ``score`` workload."""
+    rng = np.random.default_rng(2024)
+    radius = rng.uniform(10.0, 60.0, 500)
+    centre = np.where((rng.random(500) < 0.5)[:, None],
+                      [620.0, 380.0] + rng.normal(0.0, 120.0, (500, 2)),
+                      rng.uniform(0.0, 1000.0, (500, 2)))
+    centre = np.clip(centre, radius[:, None] + 1.0, 999.0 - radius[:, None])
+    circles = [Circle(cx, cy, r) for (cx, cy), r in zip(centre, radius)]
+    cov = np.array([[70.0 ** 2, 0.35 * 70.0 * 45.0], [0.35 * 70.0 * 45.0, 45.0 ** 2]])
+    d = ParametricDensity.from_mixture([620.0, 380.0], np.linalg.inv(2.0 * cov), 0.4, STUDY)
+    loop = np.array([d.integrate(c) for c in circles])
+    assert np.abs(d.masses(circles) - loop).max() <= 1e-15
+    many = gaussian_masses(circles, [[620.0, 380.0]], cov)[:, 0]
+    one = np.array([c.gaussian_mass([[620.0, 380.0]], cov)[0] for c in circles])
+    assert np.abs(many - one).max() <= 1e-15
+
+
+def test_masses_reject_a_region_outside_the_model():
+    outside = Circle(990.0, 500.0, 20.0)
+    for density in (ParametricDensity.uniform(STUDY),
+                     KernelDensity([[500.0, 500.0]], np.eye(2) * 100.0, STUDY)):
+        with pytest.raises(ValidationError, match="escapes"):
+            density.masses([DISC, outside])
+        assert len(density.masses([])) == 0

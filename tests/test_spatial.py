@@ -380,9 +380,9 @@ def test_narrow_kernels_keep_their_mass():
 def test_non_finite_mass_is_an_error_not_a_probability(monkeypatch, bad):
     d = ParametricDensity.from_mixture([100.0, 100.0], Q, 0.5, REGION)
     kde = KernelDensity([[50.0, 50.0], [120.0, 90.0]], np.eye(2) * 100.0, REGION)
-    monkeypatch.setattr(spatial, "_bump_mass", lambda *args: bad)
+    monkeypatch.setattr(spatial, "_bump_masses", lambda regions, *args: np.full(len(regions), bad))
     with pytest.raises(QuakevalError, match="not a finite number"):
         d.integrate(Circle(100.0, 100.0, 30.0))
-    monkeypatch.setattr(kde, "_raw_mass", lambda region: bad)
+    monkeypatch.setattr(kde, "_raw_masses", lambda regions: np.full(len(regions), bad))
     with pytest.raises(QuakevalError, match="not a finite number"):
         kde.integrate(Circle(100.0, 100.0, 30.0))
