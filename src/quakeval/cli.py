@@ -32,20 +32,11 @@ from .spatial import (ParametricDensity, fit_kde, fit_parametric, load_density,
                       save_density)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
+def _numpy_value(obj):
+    """A numpy array or scalar as the Python value ``json`` can write."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 # The enhancement report is this projection of the significance report.
@@ -54,7 +45,7 @@ _ENHANCEMENT_KEYS = ("n_predictions", "n_observed", "mu", "c_hat", "c_min",
 
 
 def _render(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False, default=_numpy_value) + "\n"
 
 
 def _parse_region_spec(text: str) -> Rectangle:
@@ -172,10 +163,8 @@ def _cmd_precursor(args) -> dict:
                             threshold=args.threshold)
     config = {"earthquakes": args.earthquakes, "predictions": args.predictions,
               "threshold": args.threshold}
-    body = result.to_dict()
-    body["origin"] = data.origin
-    body["n_censored"] = int(data.censored.sum())
-    return {"command": "precursor", "config": config, **body}
+    return {"command": "precursor", "config": config, **result.to_dict(),
+            "origin": data.origin, "n_censored": int(data.censored.sum())}
 
 
 def _cmd_simulate(args) -> dict:

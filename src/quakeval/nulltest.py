@@ -25,7 +25,7 @@ against the point estimate c_hat = N_M / mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -337,7 +337,9 @@ def overlap_fraction(predictions: list[Prediction]) -> float:
 
 @dataclass(frozen=True)
 class SignificanceReport:
-    """Full evaluation of a prediction set against the chance null."""
+    """Full evaluation of a prediction set against the chance null.
+    ``to_dict`` gives the fields in declaration order, which is the
+    report's key order."""
 
     n_predictions: int
     n_observed: int
@@ -354,21 +356,7 @@ class SignificanceReport:
     overlap_fraction: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_predictions": self.n_predictions,
-            "n_observed": self.n_observed,
-            "mu": self.mu,
-            "sigma": self.sigma,
-            "z": self.z,
-            "significance": self.significance,
-            "exact_significance": self.exact_significance,
-            "c_hat": self.c_hat,
-            "c_min": self.c_min,
-            "c_min_capped": self.c_min_capped,
-            "c_min_residual": self.c_min_residual,
-            "alpha": self.alpha,
-            "overlap_fraction": self.overlap_fraction,
-        }
+        return asdict(self)
 
 
 def significance_report(catalog: Catalog, predictions: list[Prediction],

@@ -26,7 +26,7 @@ and region are ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -136,32 +136,23 @@ def extract_delays(predictions: Sequence[Prediction], catalog: Catalog) -> Delay
 
 @dataclass(frozen=True)
 class PrecursorResult:
-    """Standardized delay-sum score for a batch of signals."""
+    """Standardized delay-sum score for a batch of signals.  ``to_dict``
+    gives the fields in declaration order, which is the report's key
+    order."""
 
+    m: int
+    n_events: int
+    span: float
     y_obs: float
     e_y: float
     var_y: float
     z: float
+    threshold: float
     precursor_flag: bool
     postcursor_flag: bool
-    m: int
-    n_events: int
-    span: float
-    threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n_events": self.n_events,
-            "span": self.span,
-            "y_obs": self.y_obs,
-            "e_y": self.e_y,
-            "var_y": self.var_y,
-            "z": self.z,
-            "threshold": self.threshold,
-            "precursor_flag": self.precursor_flag,
-            "postcursor_flag": self.postcursor_flag,
-        }
+        return asdict(self)
 
 
 def precursor_test(observations, n_events: int, span: float,

@@ -36,7 +36,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy.optimize import minimize
 
-from .catalog import _parse_float, _read_table, _write_table
+from .catalog import _read_floats, _read_table, _write_table
 from .errors import FitError, QuakevalError, ValidationError
 from .regions import (_EVAL_CHUNK, Region, contains_region, gaussian_masses,
                       region_from_dict, sample_inside)
@@ -84,21 +84,44 @@ def _bump_masses(regions: Sequence[Region], x_c: np.ndarray,
     return factor * gaussian_masses(regions, np.reshape(x_c, (1, 2)), cov)[:, 0]
 
 
-def _probabilities(masses: np.ndarray) -> np.ndarray:
-    """Computed region masses clipped to [0, 1]; NaN or inf is an error."""
-    if not np.isfinite(masses).all():
-        bad = masses[~np.isfinite(masses)]
-        raise QuakevalError(f"region mass came out as {float(bad[0])!r}, "
-                            "not a finite number")
-    return np.minimum(np.maximum(masses, 0.0), 1.0)
+class _Density:
+    """What the density families share.  Each sets ``region`` and
+    defines ``_values`` (the density at points inside the region),
+    ``_masses`` (region masses, not yet clipped) and ``sample_rng``."""
+
+    def evaluate(self, points) -> np.ndarray:
+        """Density at one or more points; points must lie in the region."""
+        pts = _as_points(points)
+        inside = self.region.contains(pts[:, 0], pts[:, 1])
+        if not np.all(inside):
+            bad = pts[~np.asarray(inside, bool)][0]
+            raise ValidationError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the region")
+        return self._values(pts)
+
+    def masses(self, regions: Sequence[Region]) -> np.ndarray:
+        """Probability mass of each region, in order, clipped to [0, 1];
+        every region must lie inside the model's region.  A mass that
+        comes out NaN or inf is an error."""
+        if not all(contains_region(self.region, r) for r in regions):
+            raise ValidationError("subregion escapes the model's region")
+        mass = self._masses(regions)
+        bad = mass[~np.isfinite(mass)]
+        if len(bad):
+            raise QuakevalError(f"region mass came out as {float(bad[0])!r}, "
+                                "not a finite number")
+        return np.minimum(np.maximum(mass, 0.0), 1.0)
+
+    def integrate(self, subregion: Region) -> float:
+        """Probability mass of a subregion (must lie inside the region)."""
+        return float(self.masses([subregion])[0])
+
+    def sample(self, count: int, seed: int) -> np.ndarray:
+        """Draw ``count`` points; deterministic for a given seed."""
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        return self.sample_rng(count, rng)
 
 
-def _check_inside(region: Region, subregions: Sequence[Region]) -> None:
-    if not all(contains_region(region, r) for r in subregions):
-        raise ValidationError("subregion escapes the model's region")
-
-
-class ParametricDensity:
+class ParametricDensity(_Density):
     """Uniform floor plus one Gaussian bump, normalized over a region.
 
     Construct either directly from (x_c, Q, p1) or through
@@ -150,42 +173,18 @@ class ParametricDensity:
         """Probability mass carried by the bump."""
         return self.p1 * self.bump_mass
 
-    def _bump(self, pts: np.ndarray) -> np.ndarray:
-        return np.exp(-_quad_form(pts, self.x_c, self.q_matrix))
-
     def _values(self, pts: np.ndarray) -> np.ndarray:
-        return self.p0 + self.p1 * self._bump(pts)
+        return self.p0 + self.p1 * np.exp(-_quad_form(pts, self.x_c, self.q_matrix))
 
-    def evaluate(self, points) -> np.ndarray:
-        """Density at one or more points; points must lie in the region."""
-        pts = _as_points(points)
-        inside = self.region.contains(pts[:, 0], pts[:, 1])
-        if not np.all(inside):
-            bad = pts[~np.asarray(inside, bool)][0]
-            raise ValidationError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the region")
-        return self._values(pts)
-
-    def masses(self, regions: Sequence[Region]) -> np.ndarray:
-        """Probability mass of each region, in order; every region must lie
-        inside the model's region.  The bump's masses come from one
-        ``gaussian_masses`` call."""
-        _check_inside(self.region, regions)
+    def _masses(self, regions: Sequence[Region]) -> np.ndarray:
+        """The bump's masses come from one ``gaussian_masses`` call."""
         mass = self.p0 * np.array([r.area for r in regions], dtype=float)
         if self.p1 > 0:
             mass += self.p1 * _bump_masses(regions, self.x_c, self._bump_gauss)
-        return _probabilities(mass)
-
-    def integrate(self, subregion: Region) -> float:
-        """Probability mass of a subregion (must lie inside the region)."""
-        return float(self.masses([subregion])[0])
+        return mass
 
     def log_likelihood(self, points) -> float:
         return float(np.sum(np.log(np.clip(self.evaluate(points), 1e-300, None))))
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        """Draw ``count`` points; deterministic for a given seed."""
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        return self.sample_rng(count, rng)
 
     def sample_rng(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` points using an existing generator."""
@@ -221,7 +220,7 @@ class ParametricDensity:
                 f"region={type(self.region).__name__})")
 
 
-class KernelDensity:
+class KernelDensity(_Density):
     """Gaussian kernel density with a fixed bandwidth, renormalized over
     the region so it integrates to one there.
 
@@ -247,8 +246,8 @@ class KernelDensity:
         self.points.flags.writeable = False
         self.bandwidth.flags.writeable = False
 
-    def _raw(self, pts: np.ndarray) -> np.ndarray:
-        """Unnormalized mixture mean of kernels, evaluated in blocks."""
+    def _values(self, pts: np.ndarray) -> np.ndarray:
+        """Mixture mean of kernels over the normalization, in blocks."""
         n = len(self.points)
         out = np.empty(len(pts))
         step = max(1, _EVAL_CHUNK // n)
@@ -259,7 +258,7 @@ class KernelDensity:
             dy = blk[:, None, 1] - self.points[None, :, 1]
             q = a * dx * dx + 2.0 * b * dx * dy + c * dy * dy
             out[start:start + len(blk)] = np.exp(-0.5 * q).mean(axis=1)
-        return self._norm_kernel * out
+        return self._norm_kernel * out / self.normalization
 
     def _raw_masses(self, regions: Sequence[Region]) -> np.ndarray:
         """Unnormalized kernel mass of each region: its mean kernel mass.
@@ -272,27 +271,8 @@ class KernelDensity:
                 regions[start:start + step], self.points, self.bandwidth).mean(axis=1)
         return out
 
-    def evaluate(self, points) -> np.ndarray:
-        pts = _as_points(points)
-        inside = self.region.contains(pts[:, 0], pts[:, 1])
-        if not np.all(inside):
-            bad = pts[~np.asarray(inside, bool)][0]
-            raise ValidationError(f"point ({bad[0]:g}, {bad[1]:g}) is outside the region")
-        return self._raw(pts) / self.normalization
-
-    def masses(self, regions: Sequence[Region]) -> np.ndarray:
-        """Probability mass of each region, in order; every region must lie
-        inside the model's region."""
-        _check_inside(self.region, regions)
-        return _probabilities(self._raw_masses(regions) / self.normalization)
-
-    def integrate(self, subregion: Region) -> float:
-        """Probability mass of a subregion (must lie inside the region)."""
-        return float(self.masses([subregion])[0])
-
-    def sample(self, count: int, seed: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        return self.sample_rng(count, rng)
+    def _masses(self, regions: Sequence[Region]) -> np.ndarray:
+        return self._raw_masses(regions) / self.normalization
 
     def sample_rng(self, count: int, rng: np.random.Generator) -> np.ndarray:
         chol = np.linalg.cholesky(self.bandwidth)
@@ -519,33 +499,59 @@ def fit_kde(points, region: Region) -> KernelDensity:
     return KernelDensity(pts, bw, region)
 
 
-def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensity:
-    """Rebuild a density from its JSON dict form."""
+class _ModelError(ValidationError):
+    """A fault in a density model's own fields, not in its points file;
+    ``load_density`` puts the model's path in front."""
+
+
+def _field(data: dict, key: str, convert):
+    """``convert(data[key])``; a value that cannot be converted raises a
+    ``_ModelError`` naming the key, a missing key raises KeyError."""
     try:
-        kind = data["type"]
-    except (TypeError, KeyError):
-        raise ValidationError("density dict needs a 'type' key") from None
-    region = region_from_dict(data["region"])
+        return convert(data[key])
+    except (TypeError, ValueError) as exc:  # includes ValidationError
+        raise _ModelError(f"field {key!r}: {exc}") from None
+
+
+def _matrix(value) -> np.ndarray:
+    return np.asarray(value, dtype=float).reshape(2, 2)
+
+
+def _build(family, *args) -> SpatialDensity:
+    """``family(*args)``, raising its ValidationError as a ``_ModelError``."""
+    try:
+        return family(*args)
+    except ValidationError as exc:
+        raise _ModelError(str(exc)) from None
+
+
+def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensity:
+    """Rebuild a density from its JSON dict form.  A missing field raises
+    KeyError; a bad field or points file, a ValidationError naming it."""
+    if not isinstance(data, dict) or "type" not in data:
+        raise _ModelError("density dict needs a 'type' key")
+    kind = data["type"]
+    region = _field(data, "region", region_from_dict)
     if kind == "parametric":
-        q = np.asarray(data["Q"], dtype=float).reshape(2, 2)
-        model = ParametricDensity(data["x_c"], q, float(data["p1"]), region)
-        stored_p0 = float(data.get("p0", model.p0))
+        q = _field(data, "Q", _matrix)
+        x_c = _field(data, "x_c", lambda v: np.asarray(v, dtype=float).reshape(2))
+        model = _build(ParametricDensity, x_c, q, _field(data, "p1", float), region)
+        stored_p0 = _field(data, "p0", float) if "p0" in data else model.p0
         if abs(stored_p0 - model.p0) > 1e-6 * max(1.0, abs(model.p0)):
-            raise ValidationError(
+            raise _ModelError(
                 f"stored p0 {stored_p0:g} is inconsistent with normalization "
                 f"({model.p0:g}); the model file looks corrupted")
         return model
     if kind == "kde":
-        ref = data.get("points_ref", "")
-        if not ref:
-            raise ValidationError("kde model needs a points_ref")
+        ref = data.get("points_ref")
+        if not ref or not isinstance(ref, str):
+            raise _ModelError("kde model needs a points_ref")
         path = Path(ref)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
         pts = _read_points_csv(path, region)
-        bw = np.asarray(data["bandwidth"], dtype=float).reshape(2, 2)
-        return KernelDensity(pts, bw, region)
-    raise ValidationError(f"unknown density type {kind!r}")
+        return _build(KernelDensity, pts, _field(data, "bandwidth", _matrix), region)
+    raise _ModelError(f"unknown density type {kind!r}")
 
 
 def load_density(path) -> SpatialDensity:
@@ -558,6 +564,8 @@ def load_density(path) -> SpatialDensity:
         return density_from_dict(data, base_dir=path.parent)
     except KeyError as exc:
         raise ValidationError(f"{path}: density model lacks the key {exc}") from None
+    except _ModelError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_density(density: SpatialDensity, path) -> None:
@@ -577,11 +585,7 @@ def _read_points_csv(path: Path, region: Region) -> np.ndarray:
     lie inside ``region``.  Errors name the file, and the row if one is
     at fault."""
     with _read_table(path, ["x", "y"]) as table:
-        rows, values = [], []
-        for i, (x, y) in table:
-            rows.append(i)
-            values.append((_parse_float(x, i, "x"), _parse_float(y, i, "y")))
-        pts = np.asarray(values, dtype=float).reshape(-1, 2)
+        rows, pts = _read_floats(table, ["x", "y"])
         if not len(pts):
             raise ValidationError("kernel density needs at least one point")
         outside = np.flatnonzero(~np.asarray(region.contains(pts[:, 0], pts[:, 1]), bool))

@@ -109,6 +109,31 @@ def test_parse_earthquakes_errors_name_rows():
         parse_earthquakes(io.StringIO(text), record_start=3.0)
 
 
+def test_catalog_errors_name_the_input_position():
+    with pytest.raises(ValidationError, match=r"^event 1: epicentre \(200, 3\) lies outside"):
+        Catalog([5.0, 1.0], [2.0, 200.0], [3.0, 3.0], [4.0, 4.0], 0.0, 10.0, REGION)
+    with pytest.raises(ValidationError, match=r"^event 0: time 12 falls outside"):
+        Catalog([12.0, 1.0], [2.0, 200.0], [3.0, 3.0], [4.0, 4.0], 0.0, 10.0, REGION)
+
+
+def test_parse_earthquakes_names_the_first_fault():
+    """The reader's faults come before Catalog's, wherever they lie; among
+    faults of one kind the first row is named, and in a row the time
+    before the epicentre."""
+    def error(rows: str) -> str:
+        with pytest.raises(ValidationError) as caught:
+            parse_earthquakes(io.StringIO("time,x,y,magnitude\n" + rows),
+                              region=REGION, record_end=10.0)
+        return str(caught.value)
+
+    assert error("1,200,3,4\n2,abc,3,4\n") == "row 2: x value 'abc' is not a number"
+    assert error("1,abc,3,4\n2,3\n") == "row 1: x value 'abc' is not a number"
+    assert error("1,2,3\n2,abc,3,4\n") == "row 1: expected 4 fields, got 3"
+    assert error("1,200,3,4\n12,2,3,4\n").startswith("row 1: epicentre (200, 3)")
+    assert error("12,2,3,4\n1,200,3,4\n").startswith("row 1: time 12 falls outside")
+    assert error("12,200,3,4\n").startswith("row 1: time 12 falls outside")
+
+
 def test_parse_earthquakes_skips_blank_rows_and_derives_bounds():
     text = "time,x,y,magnitude\n1,5,5,5\n\n3,7,9,4.5\n"
     cat = parse_earthquakes(io.StringIO(text))

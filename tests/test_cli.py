@@ -286,6 +286,40 @@ def test_truncated_density_json_exits_2(tmp_path, capsys):
     assert str(model) in err and "not valid JSON" in err
 
 
+MODEL_REGION = {"type": "rectangle", "x_min": 0.0, "x_max": 200.0,
+                "y_min": 0.0, "y_max": 200.0}
+MODELS = {
+    "parametric": {"type": "parametric", "x_c": [100.0, 100.0],
+                   "Q": [1e-3, 0.0, 0.0, 1e-3], "p1": 1e-5, "region": MODEL_REGION},
+    "kde": {"type": "kde", "bandwidth": [25.0, 0.0, 0.0, 25.0],
+            "points_ref": "points.csv", "region": MODEL_REGION},
+}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("parametric", "p1", None),
+    ("parametric", "Q", [1, 2, 3]),
+    ("parametric", "x_c", "ab"),
+    ("kde", "bandwidth", None),
+    ("parametric", "p0", None),
+    ("parametric", "p1", -1.0),
+    ("parametric", "Q", [1.0, 5.0, 2.0, 1.0]),
+    ("parametric", "region", {"type": "circle", "cx": 100.0, "cy": 100.0,
+                              "radius": -1.0}),
+    ("kde", "points_ref", 5),
+])
+def test_malformed_density_field_exits_2(tmp_path, capsys, kind, key, value):
+    """A bad field of a density model names the model file and the field."""
+    (tmp_path / "points.csv").write_text("x,y\n50,50\n60,70\n120,90\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({**MODELS[kind], key: value}))
+    code = run(["significance", *_base_args(), "--predictions", PRED,
+                "--density", str(model)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{model}: " in err and key in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("row, message", [
     ("50.0", "row 3: expected 2 fields, got 1"),
     ("abc,50.0", "row 3: x value 'abc' is not a number"),
