@@ -14,6 +14,17 @@ depend on execution order and any single replicate can be regenerated
 in isolation.  The delay-moment helper uses one sequential stream
 (replicates there are rows of a matrix, not catalogs).
 
+Replicates run in contiguous ranges, one range per CPU this process
+may run on, each in a worker process forked for it; the ranges'
+results are joined in replicate order, so every result is the same for
+any worker count.  Workers inherit the model, the alarms, the seed and
+their range when they are forked, and send back only their success
+counts or z-scores.  The work runs in this process instead when there
+is one CPU, when there are fewer than two replicates, or off Linux,
+where workers would be spawned and re-import numpy and scipy.
+Validation, chance probabilities and the tail table stay in this
+process, so every parameter is checked before a worker starts.
+
 Each replicate's draws, their order and their shapes, are fixed;
 evaluation does not touch them.  Synthetic catalogs stay in draw order,
 with no time sort, since ``count_hits`` sorts each alarm group's
@@ -29,6 +40,8 @@ N - 1 events interchangeable with the signal's position.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +63,86 @@ def child_rng(seed: int, replicate: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate,))))
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not 0.0 < value < math.inf:  # also false for NaN
+        raise ValidationError(f"{name} must be positive and finite, got {value:g}")
+
+
+def _worker_count() -> int:
+    """One worker per CPU this process may run on; 1 (run in process)
+    where workers cannot be forked."""
+    import multiprocessing  # only simulations pay for its import
+    if not sys.platform.startswith("linux") \
+            or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _range_worker(task, first: int, stop: int, conn) -> None:
+    """In a forked worker: send ``task(first, stop)``, or its error."""
+    try:
+        result = task(first, stop)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+
+
+def _over_replicates(task, replicates: int) -> np.ndarray:
+    """``task(0, replicates)``, where ``task(first, stop)`` gives the
+    results of replicates first, ..., stop - 1 as one array.
+
+    ``range(replicates)`` is split into one contiguous range per worker,
+    each range runs in a forked worker process, and the results are
+    concatenated in replicate order.  The task and its range reach a
+    worker by fork inheritance, not by pickling, so the task may close
+    over any object; only the result comes back, through a pipe.  An
+    error in a range is raised here with its type and message.  The
+    workers are joined on every path, and killed first on an error.
+    """
+    n_workers = min(_worker_count(), replicates) if replicates > 1 else 1
+    if n_workers < 2:
+        return task(0, replicates)
+    import multiprocessing
+    # Fork, not spawn: a spawned worker imports numpy and scipy again, about
+    # 0.5 s each.  The fork happens on the calling thread, and OpenBLAS's
+    # fork handler stops its thread pool first.
+    fork = multiprocessing.get_context("fork")
+    bounds = [replicates * w // n_workers for w in range(n_workers + 1)]
+    workers = []
+    try:
+        for first, stop in zip(bounds[:-1], bounds[1:]):
+            receive, send = fork.Pipe(duplex=False)
+            proc = fork.Process(target=_range_worker, args=(task, first, stop, send))
+            proc.start()
+            workers.append((proc, receive))
+            send.close()  # so that a worker that dies gives EOF, not a hang
+        parts = []
+        for proc, receive in workers:
+            try:
+                part = receive.recv()
+            except EOFError:
+                proc.join()
+                raise QuakevalError(f"a simulation worker ended with exit code "
+                                    f"{proc.exitcode} before sending its replicates") from None
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+    except BaseException:
+        for proc, _ in workers:
+            proc.kill()
+        raise
+    finally:
+        for proc, receive in workers:
+            proc.join()
+            receive.close()
+    return np.concatenate(parts)
+
+
 @dataclass(frozen=True)
 class ClusteringParams:
     """Dependent-event injection settings.
@@ -66,8 +159,8 @@ class ClusteringParams:
     def __post_init__(self):
         if not 0.0 <= self.fraction < 1.0:
             raise ValidationError("clustering fraction must lie in [0, 1)")
-        if self.time_decay <= 0 or self.spatial_spread <= 0:
-            raise ValidationError("clustering scales must be positive")
+        _check_positive("clustering time_decay", self.time_decay)
+        _check_positive("clustering spatial_spread", self.spatial_spread)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,10 +174,10 @@ class NullModel:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.n_events < 1:
             raise ValidationError("need at least one event")
-        if self.span <= 0:
-            raise ValidationError("record span must be positive")
+        _check_positive("record span", self.span)
         if self.clustering is not None:
             n_inj = int(round(self.clustering.fraction * self.n_events))
             if self.n_events - n_inj < 1:
@@ -260,19 +353,21 @@ def empirical_significance(model: NullModel, predictions: list[Prediction],
     tails = poisson_binomial_tails(probs)
 
     groups = alarm_groups(predictions)
-    counts = np.empty(replicates, dtype=int)
-    levels = np.empty(replicates)
-    for r in range(replicates):
-        rng = child_rng(model.seed, r)
-        times, xy, mags, injected = _simulate_arrays(model, rng)
-        if exclude_injected and injected.any():
-            keep = ~injected
-            times, xy, mags = times[keep], xy[keep], mags[keep]
-        xs, ys = np.ascontiguousarray(xy.T)  # region tests run faster on unit strides
-        counts[r] = count_hits(groups, times, xs, ys, mags)
-        levels[r] = tails[counts[r]]
 
-    summary = SimulationSummary.from_samples("exact_significance", levels,
+    def success_counts(first: int, stop: int) -> np.ndarray:
+        counts = np.empty(stop - first, dtype=int)
+        for i in range(stop - first):
+            rng = child_rng(model.seed, first + i)
+            times, xy, mags, injected = _simulate_arrays(model, rng)
+            if exclude_injected and injected.any():
+                keep = ~injected
+                times, xy, mags = times[keep], xy[keep], mags[keep]
+            xs, ys = np.ascontiguousarray(xy.T)  # region tests run faster on unit strides
+            counts[i] = count_hits(groups, times, xs, ys, mags)
+        return counts
+
+    counts = _over_replicates(success_counts, replicates)
+    summary = SimulationSummary.from_samples("exact_significance", tails[counts],
                                              uniform_ks=True)
     return SignificanceSimulation(summary, counts, probs)
 
@@ -297,8 +392,8 @@ def empirical_tau_moments(t: float, n: int, span: float, replicates: int,
     follows).  Generation is chunked; one sequential Philox stream
     keeps the result reproducible.
     """
-    if span <= 0:
-        raise ValidationError("record span must be positive")
+    _check_seed(seed)
+    _check_positive("record span", span)
     if n < 2:
         raise ValidationError("the delay law needs at least 2 events")
     if not 0.0 <= t <= span:
@@ -388,12 +483,12 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
     Replicate r draws its event records, then its m signal uniforms, from
     ``child_rng(seed, r)``; replicates are then scored a block at a time.
     """
+    _check_seed(seed)
     if m < 1:
         raise ValidationError("need at least one signal per replicate")
     if n_events < 2:
         raise ValidationError("the delay law needs at least 2 events")
-    if span <= 0:
-        raise ValidationError("record span must be positive")
+    _check_positive("record span", span)
     if replicates < 1:
         raise ValidationError("need at least one replicate")
     delta = suppression_window
@@ -402,25 +497,30 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
 
     cols = n_events - 1
     n_rows = 1 if shared_catalog else m
-    block = min(replicates, max(1, _BLOCK_DOUBLES // (m * cols)))
-    ev_buf = np.empty((block, n_rows, cols))
-    u_buf = np.empty((block, m))
     rows = np.arange(n_rows)  # broadcasts against the m signals
-    zs = np.empty(replicates)
-    for first in range(0, replicates, block):
-        n_block = min(block, replicates - first)
-        ev, u = ev_buf[:n_block], u_buf[:n_block]
-        for i in range(n_block):
-            rng = child_rng(seed, first + i)
-            rng.random(out=ev[i])
-            rng.random(out=u[i])
-        ev *= span
-        ev.sort(axis=2)
-        t = u * span if delta is None else _suppressed_times(ev, u, span, delta)
-        k = (ev < t[..., None]).sum(axis=2)
-        nxt = ev[np.arange(n_block)[:, None], rows, np.minimum(k, cols - 1)]
-        tau = np.where(k < cols, nxt - t, span - t)
-        e_y = tau_mean(t, n_events, span).sum(axis=1)
-        var_y = tau_var(t, n_events, span).sum(axis=1)
-        zs[first:first + n_block] = (tau.sum(axis=1) - e_y) / np.sqrt(var_y)
+
+    def zscores(first: int, stop: int) -> np.ndarray:
+        block = min(stop - first, max(1, _BLOCK_DOUBLES // (m * cols)))
+        ev_buf = np.empty((block, n_rows, cols))
+        u_buf = np.empty((block, m))
+        zs = np.empty(stop - first)
+        for lo in range(0, stop - first, block):
+            n_block = min(block, stop - first - lo)
+            ev, u = ev_buf[:n_block], u_buf[:n_block]
+            for i in range(n_block):
+                rng = child_rng(seed, first + lo + i)
+                rng.random(out=ev[i])
+                rng.random(out=u[i])
+            ev *= span
+            ev.sort(axis=2)
+            t = u * span if delta is None else _suppressed_times(ev, u, span, delta)
+            k = (ev < t[..., None]).sum(axis=2)
+            nxt = ev[np.arange(n_block)[:, None], rows, np.minimum(k, cols - 1)]
+            tau = np.where(k < cols, nxt - t, span - t)
+            e_y = tau_mean(t, n_events, span).sum(axis=1)
+            var_y = tau_var(t, n_events, span).sum(axis=1)
+            zs[lo:lo + n_block] = (tau.sum(axis=1) - e_y) / np.sqrt(var_y)
+        return zs
+
+    zs = _over_replicates(zscores, replicates)
     return SimulationSummary.from_samples("delay_z", zs, uniform_ks=False)

@@ -235,8 +235,10 @@ class KernelDensity(_Density):
         self.points = _as_points(points).copy()
         if len(self.points) < 1:
             raise ValidationError("kernel density needs at least one point")
-        if not np.all(region.contains(self.points[:, 0], self.points[:, 1])):
-            raise ValidationError("kernel points must lie inside the region")
+        outside = np.flatnonzero(~np.asarray(
+            region.contains(self.points[:, 0], self.points[:, 1]), bool))
+        if len(outside):
+            raise _PointError(int(outside[0]))
         self.bandwidth = _check_spd(bandwidth, "bandwidth")
         self._h_inv = np.linalg.inv(self.bandwidth)
         self._norm_kernel = 1.0 / (2.0 * np.pi * math.sqrt(np.linalg.det(self.bandwidth)))
@@ -295,6 +297,14 @@ class KernelDensity(_Density):
     def __repr__(self):
         return (f"KernelDensity({len(self.points)} points, "
                 f"region={type(self.region).__name__})")
+
+
+class _PointError(ValidationError):
+    """A kernel point outside the region, at 0-based ``position``."""
+
+    def __init__(self, position: int):
+        super().__init__("kernel points must lie inside the region")
+        self.position = position
 
 
 SpatialDensity = Union[ParametricDensity, KernelDensity]
@@ -517,14 +527,6 @@ def _matrix(value) -> np.ndarray:
     return np.asarray(value, dtype=float).reshape(2, 2)
 
 
-def _build(family, *args) -> SpatialDensity:
-    """``family(*args)``, raising its ValidationError as a ``_ModelError``."""
-    try:
-        return family(*args)
-    except ValidationError as exc:
-        raise _ModelError(str(exc)) from None
-
-
 def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensity:
     """Rebuild a density from its JSON dict form.  A missing field raises
     KeyError; a bad field or points file, a ValidationError naming it."""
@@ -535,7 +537,11 @@ def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensit
     if kind == "parametric":
         q = _field(data, "Q", _matrix)
         x_c = _field(data, "x_c", lambda v: np.asarray(v, dtype=float).reshape(2))
-        model = _build(ParametricDensity, x_c, q, _field(data, "p1", float), region)
+        p1 = _field(data, "p1", float)
+        try:
+            model = ParametricDensity(x_c, q, p1, region)
+        except ValidationError as exc:
+            raise _ModelError(str(exc)) from None
         stored_p0 = _field(data, "p0", float) if "p0" in data else model.p0
         if abs(stored_p0 - model.p0) > 1e-6 * max(1.0, abs(model.p0)):
             raise _ModelError(
@@ -549,8 +555,16 @@ def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensit
         path = Path(ref)
         if not path.is_absolute() and base_dir is not None:
             path = base_dir / path
-        pts = _read_points_csv(path, region)
-        return _build(KernelDensity, pts, _field(data, "bandwidth", _matrix), region)
+        rows, pts = _read_points_csv(path)
+        bandwidth = _field(data, "bandwidth", _matrix)
+        try:
+            return KernelDensity(pts, bandwidth, region)
+        except _PointError as exc:
+            k = exc.position
+            raise ValidationError(f"{path}: row {rows[k]}: kernel point ({pts[k, 0]:g}, "
+                                  f"{pts[k, 1]:g}) lies outside the model's region") from None
+        except ValidationError as exc:  # the bandwidth's or the normalization's
+            raise _ModelError(str(exc)) from None
     raise _ModelError(f"unknown density type {kind!r}")
 
 
@@ -580,17 +594,13 @@ def save_density(density: SpatialDensity, path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_points_csv(path: Path, region: Region) -> np.ndarray:
-    """Kernel points from a CSV; there must be one at least, and each must
-    lie inside ``region``.  Errors name the file, and the row if one is
-    at fault."""
+def _read_points_csv(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based row numbers and an (n, 2) array of the kernel points in
+    a CSV; there must be one at least.  Errors name the file, and the row
+    if one is at fault.  ``KernelDensity`` tests the points against the
+    region."""
     with _read_table(path, ["x", "y"]) as table:
         rows, pts = _read_floats(table, ["x", "y"])
         if not len(pts):
             raise ValidationError("kernel density needs at least one point")
-        outside = np.flatnonzero(~np.asarray(region.contains(pts[:, 0], pts[:, 1]), bool))
-        if len(outside):
-            k = int(outside[0])
-            raise ValidationError(f"row {rows[k]}: kernel point ({pts[k, 0]:g}, "
-                                  f"{pts[k, 1]:g}) lies outside the model's region")
-    return pts
+    return rows, pts

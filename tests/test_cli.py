@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,6 +158,45 @@ def test_simulate_significance_rejects_fit_density(capsys):
                 "--density", "fit"])
     assert code == 2
     assert "density" in capsys.readouterr().err.lower()
+
+
+SIMULATE = {
+    "significance": ["simulate", "--mode", "significance", "--replicates", "10",
+                     "--n-events", "100", "--span", "1000",
+                     "--predictions", PRED, "--region", REGION],
+    "delays": ["simulate", "--mode", "delays", "--replicates", "10",
+               "--n-events", "50", "--span", "1000", "--m-signals", "5"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SIMULATE))
+def test_simulate_rejects_negative_seed(capsys, mode):
+    assert run([*SIMULATE[mode], "--seed", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer, got -3" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode, flag, value, field", [
+    ("significance", "--cluster-decay", "nan", "time_decay"),
+    ("significance", "--cluster-decay", "inf", "time_decay"),
+    ("significance", "--cluster-spread", "nan", "spatial_spread"),
+    ("significance", "--span", "inf", "span"),
+    ("significance", "--span", "nan", "span"),
+    ("delays", "--span", "inf", "span"),
+    ("delays", "--span", "nan", "span"),
+])
+def test_simulate_rejects_non_finite_parameters(capsys, mode, flag, value, field):
+    """The last of a repeated flag wins, so the flag overrides the base."""
+    argv = [*SIMULATE[mode], "--clustering", "0.3", flag, value] \
+        if flag.startswith("--cluster") else [*SIMULATE[mode], flag, value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{field} must be positive and finite, got {value}" in err
+    assert "Traceback" not in err
 
 
 def test_filter_aftershocks(tmp_path, capsys):

@@ -1,14 +1,18 @@
 import math
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
 
 from quakeval import (Circle, ClusteringParams, NullModel, ParametricDensity,
-                      Prediction, Rectangle, SimulationSummary,
+                      Prediction, QuakevalError, Rectangle, SimulationSummary,
                       ValidationError, child_rng, empirical_significance,
                       empirical_tau_moments, ks_uniform_distance,
                       null_zscores, simulate_null_catalog, tau_mean, tau_var)
 from quakeval import mc
+from quakeval.cli import run
 from quakeval.mc import BACKGROUND_MAGNITUDE, INJECTED_MAGNITUDE
 from quakeval.nulltest import (alarm_groups, alarm_probabilities, count_hits,
                                poisson_binomial_pmf)
@@ -83,6 +87,15 @@ def test_model_validation():
         ClusteringParams(0.5, 0.0, 5.0)
     with pytest.raises(ValidationError):
         ClusteringParams(0.5, 10.0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="time_decay"):
+            ClusteringParams(0.5, bad, 5.0)
+        with pytest.raises(ValidationError, match="spatial_spread"):
+            ClusteringParams(0.5, 10.0, bad)
+        with pytest.raises(ValidationError, match="record span"):
+            NullModel(100, bad, UNIFORM)
+    with pytest.raises(ValidationError, match="seed"):
+        NullModel(100, 500.0, UNIFORM, seed=-1)
 
 
 def test_ks_uniform_distance_hand_values():
@@ -159,6 +172,11 @@ def test_null_zscores_validation():
         null_zscores(10, 50, 1000.0, 10, suppression_window=1000.0)
     with pytest.raises(ValidationError):
         null_zscores(10, 50, 1000.0, 10, suppression_window=-2.0)
+    with pytest.raises(ValidationError, match="seed"):
+        null_zscores(10, 50, 1000.0, 10, seed=-3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="record span"):
+            null_zscores(10, 50, bad, 10)
 
 
 def _slotted_predictions(count, span, duration, region, min_mag, seed):
@@ -372,3 +390,108 @@ def test_simulated_catalog_equals_reference():
     assert np.array_equal(cat.times, times)
     assert np.array_equal(np.column_stack([cat.xs, cat.ys]), xy)
     assert np.array_equal(cat.magnitudes, mags)
+
+
+# ---------------------------------------------------------------------------
+# Worker processes: any worker count gives the same bytes, and no worker
+# outlives a run.
+
+def _under_worker_counts(monkeypatch, simulate, counts=(1, 2, 3)):
+    results = []
+    for workers in counts:
+        monkeypatch.setattr(mc, "_worker_count", lambda workers=workers: workers)
+        results.append(simulate())
+        assert multiprocessing.active_children() == []
+    return results
+
+
+@pytest.mark.parametrize("clustering, exclude", [
+    (None, False), (ClusteringParams(0.3, 10.0, 4.0), True)], ids=["plain", "clustered"])
+@pytest.mark.parametrize("replicates", [2, 7], ids=["fewer-than-workers", "seven"])
+def test_significance_same_for_any_worker_count(monkeypatch, clustering, exclude,
+                                                replicates):
+    model = NullModel(300, 1000.0, BUMP, clustering=clustering, seed=81)
+    preds = _zone_predictions(82)
+    first, *others = _under_worker_counts(monkeypatch, lambda: empirical_significance(
+        model, preds, replicates, exclude_injected=exclude))
+    for sim in others:
+        assert sim.success_counts.tobytes() == first.success_counts.tobytes()
+        assert sim.summary.samples.tobytes() == first.summary.samples.tobytes()
+        assert sim.summary.to_dict() == first.summary.to_dict()
+
+
+@pytest.mark.parametrize("delta, shared", [(None, False), (60.0, False), (None, True)],
+                         ids=["plain", "suppressed", "shared"])
+@pytest.mark.parametrize("blocks", [None, 1, 2],
+                         ids=["fewer-than-workers", "one-block", "two-blocks"])
+def test_delay_zscores_same_for_any_worker_count(monkeypatch, delta, shared, blocks):
+    m, n_events = 17, 37
+    block = mc._BLOCK_DOUBLES // (m * (n_events - 1))
+    replicates = 2 if blocks is None else blocks * block
+    first, *others = _under_worker_counts(monkeypatch, lambda: null_zscores(
+        m, n_events, 1000.0, replicates, seed=83, suppression_window=delta,
+        shared_catalog=shared))
+    assert first.n_replicates == replicates
+    for summary in others:
+        assert summary.samples.tobytes() == first.samples.tobytes()
+        assert summary.to_dict() == first.to_dict()
+
+
+STALL = "follower offsets keep landing outside the region"
+
+
+def _stall():
+    raise QuakevalError(STALL)
+
+
+def _fail_at_replicate(monkeypatch, replicate, fail):
+    real = mc.child_rng
+
+    def child_rng_or_fail(seed, r):
+        if r == replicate:
+            fail()
+        return real(seed, r)
+
+    monkeypatch.setattr(mc, "child_rng", child_rng_or_fail)
+
+
+def test_worker_error_reaches_caller_as_in_process(monkeypatch):
+    """Replicate 5 lies in the last range for 2 and 3 workers."""
+    _fail_at_replicate(monkeypatch, 5, _stall)
+    model = NullModel(100, 1000.0, UNIFORM, seed=84)
+    preds = _slotted_predictions(5, 1000.0, 4.0, REGION, 5.0, seed=85)
+
+    def caught():
+        with pytest.raises(Exception) as info:
+            empirical_significance(model, preds, 8)
+        return type(info.value), str(info.value)
+
+    errors = _under_worker_counts(monkeypatch, caught)
+    assert errors == [(QuakevalError, STALL)] * 3
+
+
+def test_worker_error_gives_the_same_cli_exit(monkeypatch, capsys):
+    _fail_at_replicate(monkeypatch, 5, _stall)
+    argv = ["simulate", "--mode", "delays", "--replicates", "8", "--n-events", "20",
+            "--span", "1000", "--m-signals", "4"]
+    outcomes = _under_worker_counts(
+        monkeypatch, lambda: (run(argv), capsys.readouterr().err), counts=(1, 2))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (1, f"error: {STALL}\n")
+
+
+def test_worker_that_dies_is_an_error_not_a_hang(monkeypatch):
+    def hang(signum, frame):
+        raise TimeoutError("the run waited on a dead worker")
+
+    _fail_at_replicate(monkeypatch, 5, lambda: os._exit(3))
+    monkeypatch.setattr(mc, "_worker_count", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        with pytest.raises(QuakevalError, match="exit code 3"):
+            null_zscores(4, 20, 1000.0, 8, seed=86)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []

@@ -357,6 +357,22 @@ def test_kde_json_round_trip(tmp_path):
                                                      rel=1e-12)
 
 
+def test_kde_load_tests_points_against_region_once(tmp_path, monkeypatch):
+    pts = np.random.default_rng(24).uniform(40, 160, (50, 2))
+    path = tmp_path / "kde.json"
+    save_density(fit_kde(pts, REGION), path)
+    real = Rectangle.contains
+    sizes = []
+
+    def counting(self, x, y):
+        sizes.append(np.size(x))
+        return real(self, x, y)
+
+    monkeypatch.setattr(Rectangle, "contains", counting)
+    load_density(path)
+    assert sizes.count(len(pts)) == 1
+
+
 def test_circle_region_density():
     disc = Circle(50.0, 50.0, 40.0)
     d = ParametricDensity.from_mixture([50.0, 50.0], np.eye(2) * 0.002, 0.5, disc)
