@@ -9,7 +9,7 @@ study region, synthetic-catalog Monte Carlo, and an aftershock filter.
 """
 
 from .catalog import (AftershockPolicy, Catalog, FilterResult, Prediction,
-                      filter_aftershocks, parse_earthquakes,
+                      PredictionSet, filter_aftershocks, parse_earthquakes,
                       parse_predictions, serialize_earthquakes,
                       serialize_exclusions, serialize_predictions,
                       validate_predictions_against)
@@ -38,7 +38,7 @@ __all__ = [
     "AftershockPolicy", "Catalog", "ChanceProbabilities", "Circle",
     "ClusteringParams", "CMin", "ConvexPolygon", "DelayData", "FilterResult",
     "FitError", "FitResult", "KernelDensity", "NullModel",
-    "ParametricDensity", "PrecursorResult", "Prediction",
+    "ParametricDensity", "PrecursorResult", "Prediction", "PredictionSet",
     "QuakevalError", "Rectangle", "Region", "SignificanceReport",
     "SignificanceSimulation", "SimulationSummary", "SpatialDensity",
     "TauMoments", "ValidationError", "chance_probabilities",

@@ -32,7 +32,13 @@ Prediction CSV: header
 Rows with all three of ``cx,cy,radius`` filled describe circular alarm
 regions.  A row may leave them empty and take its region from a JSON
 sidecar instead: an object mapping the 0-based row index (as a string)
-to an array of [x, y] vertices, counterclockwise.
+to an array of [x, y] vertices, counterclockwise.  The reader gives a
+``PredictionSet`` with one ``Circle`` per distinct ``(cx, cy, radius)``.
+It names the first row in file order with a cell fault (a wrong field
+count, a bad number, a partial circle, a missing sidecar entry), else
+with a radius <= 0, else with a window fault (a window that ends before
+it starts, an issue time after it opens); in a row, the window cells
+are read before the region cells and those before ``min_magnitude``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ import csv
 import io
 import json
 import math
+from collections import abc
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,17 +86,98 @@ class Prediction:
     min_magnitude: float
 
     def __post_init__(self):
-        vals = [self.issue_time, self.window_start, self.window_end, self.min_magnitude]
-        if not np.isfinite(vals).all():
-            raise ValidationError("prediction fields must be finite")
-        if self.window_end < self.window_start:
-            raise ValidationError("prediction window ends before it starts")
-        if self.issue_time > self.window_start:
-            raise ValidationError("prediction issued after its window opened")
+        try:
+            _check_windows(*np.array([[self.issue_time], [self.window_start],
+                                      [self.window_end], [self.min_magnitude]], dtype=float))
+        except _EventError as exc:
+            raise ValidationError(exc.fault) from None
 
     @property
     def duration(self) -> float:
         return self.window_end - self.window_start
+
+
+def _check_windows(issue, start, end, magnitude) -> None:
+    """Raise an ``_EventError`` for the first prediction with a field that
+    is not finite, else a window that ends before it starts, else an
+    issue time after the window opens (the order within a row)."""
+    finite = np.isfinite(issue) & np.isfinite(start) & np.isfinite(end) \
+        & np.isfinite(magnitude)
+    reversed_window = end < start
+    bad = ~finite | reversed_window | (issue > start)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise _EventError(k, "prediction fields must be finite" if not finite[k] else
+                          "prediction window ends before it starts" if reversed_window[k]
+                          else "prediction issued after its window opened", "prediction")
+
+
+@dataclass(frozen=True, eq=False)
+class PredictionSet(abc.Sequence):
+    """A sequence of ``Prediction``s held as read-only columns in input
+    order, with ``region_index`` pointing into ``regions``, the distinct
+    alarm regions in order of first use (the constructor does not merge
+    equal regions).  The constructor copies the columns and checks each
+    row as ``Prediction`` does, naming the first at fault by its 0-based
+    position (``prediction N: ...``).  ``of`` converts a sequence of
+    ``Prediction``s; indexing gives ``Prediction`` rows.
+    """
+
+    issue_times: np.ndarray
+    window_starts: np.ndarray
+    window_ends: np.ndarray
+    min_magnitudes: np.ndarray
+    region_index: np.ndarray
+    regions: tuple
+
+    def __post_init__(self):
+        names = ("issue_times", "window_starts", "window_ends", "min_magnitudes")
+        columns = [np.array(getattr(self, name), dtype=float) for name in names]
+        index = np.array(self.region_index, dtype=np.intp)
+        if index.ndim != 1 or any(c.shape != index.shape for c in columns):
+            raise ValidationError("prediction columns must be 1-D and of equal length")
+        if len(index) and not 0 <= index.min() <= index.max() < len(self.regions):
+            raise ValidationError("region_index must point into regions")
+        _check_windows(*columns)
+        for name, value in zip((*names, "region_index"), (*columns, index)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "regions", tuple(self.regions))
+
+    @classmethod
+    def of(cls, predictions: Sequence[Prediction]) -> "PredictionSet":
+        """``predictions`` itself if it is a ``PredictionSet``, otherwise
+        the set of the same rows, with equal regions merged."""
+        if isinstance(predictions, PredictionSet):
+            return predictions
+        first: dict = {}
+        index = [first.setdefault(p.region, len(first)) for p in predictions]
+        fields = np.array([(p.issue_time, p.window_start, p.window_end, p.min_magnitude)
+                           for p in predictions], dtype=float).reshape(-1, 4)
+        return cls(*fields.T, index, tuple(first))
+
+    def __len__(self) -> int:
+        return len(self.region_index)
+
+    def __getitem__(self, k: int) -> Prediction:
+        return Prediction(float(self.issue_times[k]), float(self.window_starts[k]),
+                          float(self.window_ends[k]), self.regions[self.region_index[k]],
+                          float(self.min_magnitudes[k]))
+
+    def check_record(self, start: float, end: float, slack: float = 1e-9,
+                     rel_slack: float = 0.0, record: str = "record", also=None) -> None:
+        """Raise a ``ValidationError`` naming the first prediction whose
+        window leaves [start - slack, end * (1 + rel_slack) + slack], the
+        record widened, or that the mask of a (mask, fault) pair ``also``
+        marks, with the message ``fault(k)``; the window comes first."""
+        outside = ((self.window_starts < start - slack)
+                   | (self.window_ends > end * (1 + rel_slack) + slack))
+        bad = outside if also is None else outside | also[0]
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(f"prediction {k}: " + (
+                f"window [{self.window_starts[k]:g}, {self.window_ends[k]:g}] is outside "
+                f"the {record} [{start:g}, {end:g}]" if outside[k] else also[1](k)))
 
 
 @dataclass(frozen=True)
@@ -115,8 +203,8 @@ class Catalog:
         record_end: end of the observation record, days.
         region: study region containing every epicentre.
 
-    The columns are copied and sorted by time on construction (a stable
-    sort, so ties keep their input order).  The column arrays (``times``,
+    The columns are copied once, sorted by time on construction (a
+    stable sort, so ties keep their input order).  The column arrays (``times``,
     ``xs``, ``ys``, ``magnitudes``) are read-only and safe to share
     between threads.  Every field must be finite, every time inside the
     record span (to 1e-9 days) and every epicentre inside ``region``;
@@ -129,7 +217,7 @@ class Catalog:
                  record_end: float, region: Region):
         if record_end <= record_start:
             raise ValidationError("record_end must exceed record_start")
-        t, x, y, m = (np.array(c, dtype=float) for c in (times, xs, ys, magnitudes))
+        t, x, y, m = (np.asarray(c, dtype=float) for c in (times, xs, ys, magnitudes))
         if t.ndim != 1 or not x.shape == y.shape == m.shape == t.shape:
             raise ValidationError("catalog columns must be 1-D and of equal length")
         if len(t):
@@ -176,10 +264,10 @@ class Catalog:
 
 
 class _EventError(ValidationError):
-    """The ``fault`` of a ``Catalog`` event at 0-based input ``position``."""
+    """The ``fault`` of a ``Catalog`` event (or ``kind`` of row) at 0-based ``position``."""
 
-    def __init__(self, position: int, fault: str):
-        super().__init__(f"event {position}: {fault}")
+    def __init__(self, position: int, fault: str, kind: str = "event"):
+        super().__init__(f"{kind} {position}: {fault}")
         self.position, self.fault = position, fault
 
 
@@ -363,7 +451,7 @@ def serialize_earthquakes(catalog: Catalog, destination=None) -> str | None:
                         destination)
 
 
-def parse_predictions(source, polygons=None) -> list[Prediction]:
+def parse_predictions(source, polygons=None) -> PredictionSet:
     """Read a prediction CSV (and optional polygon sidecar).
 
     Args:
@@ -389,52 +477,59 @@ def parse_predictions(source, polygons=None) -> list[Prediction]:
         except (TypeError, ValueError) as exc:  # includes JSON and ValidationError
             raise ValidationError(f"{name}: {exc}") from None
 
-    preds = []
-    with _read_table(source, PREDICTION_HEADER) as table:
+    row_polygons: list[ConvexPolygon | None] = []
+
+    def with_region_cells(table: Iterator[tuple[int, list[str]]]):
+        """The rows with their region cells checked and a polygon row's circle
+        cells set to zeros; ``row_polygons`` gets each row's polygon or None."""
         for i, cells in table:
-            issue = _parse_float(cells[0], i, "issue_time")
-            ws = _parse_float(cells[1], i, "window_start")
-            we = _parse_float(cells[2], i, "window_end")
-            circle_cells = [c.strip() for c in cells[3:6]]
-            if all(circle_cells):
-                region: Region = Circle(_parse_float(cells[3], i, "cx"),
-                                        _parse_float(cells[4], i, "cy"),
-                                        _parse_float(cells[5], i, "radius"))
-            elif any(circle_cells):
-                raise ValidationError(
-                    f"row {i}: cx, cy and radius must be all present or all empty")
-            else:
-                row_index = i - 1
-                if row_index not in poly_map:
+            present = [bool(c.strip()) for c in cells[3:6]]
+            if not all(present):
+                for cell, column in zip(cells[:3], PREDICTION_HEADER):
+                    _parse_float(cell, i, column)  # a window cell at fault comes first
+                if any(present):
+                    raise ValidationError(
+                        f"row {i}: cx, cy and radius must be all present or all empty")
+                if i - 1 not in poly_map:
                     raise ValidationError(
                         f"row {i}: no circle columns and no polygon sidecar entry "
-                        f"for row index {row_index}")
-                region = poly_map[row_index]
-            mmin = _parse_float(cells[6], i, "min_magnitude")
-            try:
-                preds.append(Prediction(issue, ws, we, region, mmin))
-            except ValidationError as exc:
-                raise ValidationError(f"row {i}: {exc}") from None
-    return preds
+                        f"for row index {i - 1}")
+                cells = [*cells[:3], "0", "0", "0", cells[6]]
+            row_polygons.append(None if all(present) else poly_map[i - 1])
+            yield i, cells
+
+    with _read_table(source, PREDICTION_HEADER) as table:
+        rows, values = _read_floats(with_region_cells(table), PREDICTION_HEADER)
+        issue, start, end, cx, cy, radius, magnitude = values.T
+        is_circle = np.array([polygon is None for polygon in row_polygons], dtype=bool)
+        flat = np.flatnonzero(is_circle & (radius <= 0))
+        if len(flat):
+            raise ValidationError(f"row {rows[flat[0]]}: circle radius must be positive")
+        first: dict = {}  # a circle's key is its (cx, cy, radius), a polygon's itself
+        index = [first.setdefault(polygon or circle, len(first)) for polygon, circle
+                 in zip(row_polygons, zip(cx.tolist(), cy.tolist(), radius.tolist()))]
+        regions = [Circle(*key) if isinstance(key, tuple) else key for key in first]
+        try:
+            return PredictionSet(issue, start, end, magnitude, index, regions)
+        except _EventError as exc:
+            raise ValidationError(f"row {rows[exc.position]}: {exc.fault}") from None
 
 
 def serialize_predictions(predictions: Sequence[Prediction],
                           destination=None) -> tuple[str, dict] | None:
     """Write predictions to CSV text plus a polygon sidecar mapping."""
-    rows = []
-    sidecar: dict[str, list] = {}
-    for i, p in enumerate(predictions):
-        if isinstance(p.region, Circle):
-            circ = [float(p.region.cx), float(p.region.cy), float(p.region.radius)]
-        else:
-            circ = ["", "", ""]
-            if isinstance(p.region, ConvexPolygon):
-                sidecar[str(i)] = p.region.vertices.tolist()
-            else:
-                raise ValidationError(
-                    "prediction CSV rows carry circles or polygons, not rectangles")
-        rows.append([float(p.issue_time), float(p.window_start), float(p.window_end),
-                     *circ, float(p.min_magnitude)])
+    ps = PredictionSet.of(predictions)
+    if not all(isinstance(r, (Circle, ConvexPolygon)) for r in ps.regions):
+        raise ValidationError("prediction CSV rows carry circles or polygons, not rectangles")
+    cells = [[float(r.cx), float(r.cy), float(r.radius)] if isinstance(r, Circle)
+             else ["", "", ""] for r in ps.regions]
+    sidecar = {str(k): ps.regions[r].vertices.tolist()
+               for k, r in enumerate(ps.region_index.tolist())
+               if isinstance(ps.regions[r], ConvexPolygon)}
+    rows = [[issue, start, end, *cells[r], magnitude] for issue, start, end, r, magnitude
+            in zip(ps.issue_times.tolist(), ps.window_starts.tolist(),
+                   ps.window_ends.tolist(), ps.region_index.tolist(),
+                   ps.min_magnitudes.tolist())]
     text = _write_table(PREDICTION_HEADER, rows, destination)
     if destination is None:
         return text, sidecar
@@ -447,15 +542,10 @@ def serialize_predictions(predictions: Sequence[Prediction],
 def validate_predictions_against(predictions: Sequence[Prediction],
                                  catalog: Catalog) -> None:
     """Check every prediction window and region against a catalog's record."""
-    for i, p in enumerate(predictions):
-        if p.window_start < catalog.record_start - 1e-9 \
-                or p.window_end > catalog.record_end + 1e-9:
-            raise ValidationError(
-                f"prediction {i}: window [{p.window_start:g}, {p.window_end:g}] "
-                f"is outside the record [{catalog.record_start:g}, {catalog.record_end:g}]")
-        if not contains_region(catalog.region, p.region):
-            raise ValidationError(
-                f"prediction {i}: alarm region is not inside the study region")
+    ps = PredictionSet.of(predictions)
+    escaping = np.array([not contains_region(catalog.region, r) for r in ps.regions], bool)
+    ps.check_record(catalog.record_start, catalog.record_end, also=(
+        escaping[ps.region_index], lambda k: "alarm region is not inside the study region"))
 
 
 @dataclass(frozen=True)

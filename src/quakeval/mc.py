@@ -43,18 +43,21 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, Prediction
+from .catalog import Catalog, Prediction, PredictionSet
 from .errors import QuakevalError, ValidationError
 from .nulltest import (alarm_groups, alarm_probabilities, count_hits,
                        poisson_binomial_tails)
-from .precursor import tau_mean, tau_var
+from .precursor import _tau_mean, _tau_var
 from .spatial import SpatialDensity
 
 BACKGROUND_MAGNITUDE = 5.0
 INJECTED_MAGNITUDE = 4.0
+# Rounds of follower redraws before ``_offset_into_region`` gives up.
+_REDRAW_ROUNDS = 100_000
 
 
 def child_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -183,6 +186,15 @@ class NullModel:
             if self.n_events - n_inj < 1:
                 raise ValidationError(
                     "clustering fraction leaves no background events")
+            # The offset density never exceeds 1 / (2 pi spread^2), so no
+            # parent's follower lands inside in any round with a chance
+            # above this bound, summed over all rounds.
+            spread = self.clustering.spatial_spread
+            if n_inj and _REDRAW_ROUNDS * self.spatial.region.area \
+                    / (2.0 * math.pi * spread ** 2) < 0.01:
+                raise ValidationError(
+                    f"clustering spatial_spread {spread:g} km is too wide for the "
+                    f"study region: followers would almost never land inside it")
 
 
 def _offset_into_region(base: np.ndarray, spread: float, region,
@@ -192,15 +204,15 @@ def _offset_into_region(base: np.ndarray, spread: float, region,
     # in order with whichever candidates land inside.
     out = np.empty_like(base)
     todo = np.arange(len(base))
-    for _ in range(100_000):
+    for _ in range(_REDRAW_ROUNDS):
         if len(todo) == 0:
             return out
         cand = base[todo] + rng.standard_normal((len(todo), 2)) * spread
         ok = np.asarray(region.contains(cand[:, 0], cand[:, 1]), bool)
         out[todo[ok]] = cand[ok]
         todo = todo[~ok]
-    raise QuakevalError("follower offsets keep landing outside the region; "
-                        "is the spread much larger than the region?")
+    raise ValidationError(f"clustering spatial_spread {spread:g} km: follower offsets "
+                          f"keep landing outside the region")
 
 
 def _simulate_arrays(model: NullModel, rng: np.random.Generator):
@@ -312,7 +324,7 @@ class SignificanceSimulation:
         return float(self.probabilities.sum())
 
 
-def empirical_significance(model: NullModel, predictions: list[Prediction],
+def empirical_significance(model: NullModel, predictions: Sequence[Prediction],
                            replicates: int,
                            exclude_injected: bool = False) -> SignificanceSimulation:
     """Distribution of the exact significance level across synthetic catalogs.
@@ -336,23 +348,18 @@ def empirical_significance(model: NullModel, predictions: list[Prediction],
     """
     if replicates < 1:
         raise ValidationError("need at least one replicate")
-    if not predictions:
+    ps = PredictionSet.of(predictions)
+    if not len(ps):
         raise ValidationError("need at least one prediction")
-    for j, p in enumerate(predictions):
-        if p.window_start < 0 or p.window_end > model.span * (1 + 1e-12):
-            raise ValidationError(
-                f"prediction {j}: window [{p.window_start:g}, {p.window_end:g}] "
-                f"is outside the simulated record [0, {model.span:g}]")
-        if p.min_magnitude > BACKGROUND_MAGNITUDE:
-            raise ValidationError(
-                f"prediction {j}: no simulated events at or above magnitude "
-                f"{p.min_magnitude:g}; the null model is undefined")
+    ps.check_record(0, model.span, slack=0.0, rel_slack=1e-12, record="simulated record",
+                    also=(ps.min_magnitudes > BACKGROUND_MAGNITUDE, lambda k: (
+                        "no simulated events at or above magnitude "
+                        f"{ps.min_magnitudes[k]:g}; the null model is undefined")))
 
-    probs = alarm_probabilities(predictions, model.spatial, model.span,
-                                model.n_events)
+    probs = alarm_probabilities(ps, model.spatial, model.span, model.n_events)
     tails = poisson_binomial_tails(probs)
 
-    groups = alarm_groups(predictions)
+    groups = alarm_groups(ps)
 
     def success_counts(first: int, stop: int) -> np.ndarray:
         counts = np.empty(stop - first, dtype=int)
@@ -517,8 +524,8 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
             k = (ev < t[..., None]).sum(axis=2)
             nxt = ev[np.arange(n_block)[:, None], rows, np.minimum(k, cols - 1)]
             tau = np.where(k < cols, nxt - t, span - t)
-            e_y = tau_mean(t, n_events, span).sum(axis=1)
-            var_y = tau_var(t, n_events, span).sum(axis=1)
+            e_y = _tau_mean(t, n_events, span).sum(axis=1)
+            var_y = _tau_var(t, n_events, span).sum(axis=1)
             zs[lo:lo + n_block] = (tau.sum(axis=1) - e_y) / np.sqrt(var_y)
         return zs
 

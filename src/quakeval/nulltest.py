@@ -26,12 +26,14 @@ against the point estimate c_hat = N_M / mu.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr
 
-from .catalog import Catalog, Prediction, _pair_blocks, validate_predictions_against
+from .catalog import (Catalog, Prediction, PredictionSet, _pair_blocks,
+                      validate_predictions_against)
 from .errors import ValidationError
 from .spatial import SpatialDensity
 
@@ -68,20 +70,17 @@ def chance_probability(spatial_mass, duration, span: float, n_events):
     return out if out.ndim else float(out)
 
 
-def alarm_probabilities(predictions: list[Prediction], density: SpatialDensity,
+def alarm_probabilities(predictions: Sequence[Prediction], density: SpatialDensity,
                         span: float, n_events) -> np.ndarray:
     """Chance probability of every prediction, one entry each.
 
-    Each distinct alarm region is integrated under ``density`` once and
-    its mass shared by every prediction over that region.  ``n_events``
-    is the background count, a scalar or one count per prediction.
+    Each distinct alarm region is integrated under ``density`` once, in
+    order of first use, and its mass shared by every prediction over it.
+    ``n_events`` is the background count, a scalar or one per prediction.
     """
-    masses: dict = {}
-    for p in predictions:
-        if p.region not in masses:
-            masses[p.region] = density.integrate(p.region)
-    return chance_probability(np.array([masses[p.region] for p in predictions]),
-                              np.array([p.duration for p in predictions]),
+    ps = PredictionSet.of(predictions)
+    masses = np.array([density.integrate(region) for region in ps.regions], dtype=float)
+    return chance_probability(masses[ps.region_index], ps.window_ends - ps.window_starts,
                               span, n_events)
 
 
@@ -118,35 +117,38 @@ class ChanceProbabilities:
         return self.sigma2 ** 0.5
 
 
-def chance_probabilities(predictions: list[Prediction], density: SpatialDensity,
+def chance_probabilities(predictions: Sequence[Prediction], density: SpatialDensity,
                          catalog: Catalog) -> ChanceProbabilities:
     """Chance probabilities against a catalog's background.
 
     A prediction's background count N is the number of catalog events
     at or above its magnitude threshold.
     """
-    if not predictions:
+    ps = PredictionSet.of(predictions)
+    if not len(ps):
         raise ValidationError("need at least one prediction")
-    thresholds = np.array([p.min_magnitude for p in predictions])
+    thresholds = ps.min_magnitudes
     mags = np.sort(catalog.magnitudes)
     n_bg = len(mags) - np.searchsorted(mags, thresholds, side="left")
     if (n_bg == 0).any():
         raise ValidationError(
             f"no catalog events at or above magnitude {thresholds[n_bg == 0][0]:g}; "
             "the null model is undefined")
-    return ChanceProbabilities(
-        alarm_probabilities(predictions, density, catalog.span, n_bg))
+    return ChanceProbabilities(alarm_probabilities(ps, density, catalog.span, n_bg))
 
 
-def alarm_groups(predictions: list[Prediction]) -> list[tuple]:
+def alarm_groups(predictions: Sequence[Prediction]) -> list[tuple]:
     """Predictions grouped on (region, min_magnitude), as (region,
     min_magnitude, window_starts, window_ends) tuples for ``count_hits``."""
-    by_key: dict[tuple, list[Prediction]] = {}
-    for p in predictions:
-        by_key.setdefault((p.region, p.min_magnitude), []).append(p)
-    return [(region, min_mag, np.array([p.window_start for p in group]),
-             np.array([p.window_end for p in group]))
-            for (region, min_mag), group in by_key.items()]
+    ps = PredictionSet.of(predictions)
+    first: dict[tuple, int] = {}
+    keys = zip(ps.region_index.tolist(), ps.min_magnitudes.tolist())
+    group = np.array([first.setdefault(key, len(first)) for key in keys], dtype=np.intp)
+    order = np.argsort(group, kind="stable")
+    starts, ends = ps.window_starts[order], ps.window_ends[order]
+    stops = np.cumsum(np.bincount(group)).tolist()
+    return [(ps.regions[r], min_mag, starts[a:b], ends[a:b]) for (r, min_mag), a, b
+            in zip(first, [0, *stops], stops)]
 
 
 def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
@@ -173,7 +175,7 @@ def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
     return hits
 
 
-def count_successes(catalog: Catalog, predictions: list[Prediction]) -> int:
+def count_successes(catalog: Catalog, predictions: Sequence[Prediction]) -> int:
     """Number of predictions that a catalog event satisfies.
 
     The catalog is sorted by time, so each alarm group tests only the
@@ -305,7 +307,7 @@ def min_consistent_c(probs, n_observed: int, alpha: float = 0.05) -> CMin:
     return CMin(root, False, g(root), alpha)
 
 
-def overlap_fraction(predictions: list[Prediction]) -> float:
+def overlap_fraction(predictions: Sequence[Prediction]) -> float:
     """Fraction of prediction pairs overlapping in both time and space.
 
     Spatial overlap is judged on bounding boxes, so this errs on the
@@ -316,14 +318,13 @@ def overlap_fraction(predictions: list[Prediction]) -> float:
     that open before it closes, so the work grows with the number of
     pairs overlapping in time, not with m^2.
     """
-    m = len(predictions)
+    ps = PredictionSet.of(predictions)
+    m = len(ps)
     if m < 2:
         return 0.0
-    starts = np.array([p.window_start for p in predictions])
-    ends = np.array([p.window_end for p in predictions])
-    boxes = np.array([p.region.bounding_box for p in predictions])
-    order = np.argsort(starts, kind="stable")
-    starts, ends, boxes = starts[order], ends[order], boxes[order]
+    order = np.argsort(ps.window_starts, kind="stable")
+    starts, ends = ps.window_starts[order], ps.window_ends[order]
+    boxes = np.array([region.bounding_box for region in ps.regions])[ps.region_index[order]]
     # sorted positions after i that open before window i closes
     stop = np.searchsorted(starts, ends, side="left")
     pairs = 0
@@ -359,7 +360,7 @@ class SignificanceReport:
         return asdict(self)
 
 
-def significance_report(catalog: Catalog, predictions: list[Prediction],
+def significance_report(catalog: Catalog, predictions: Sequence[Prediction],
                         density: SpatialDensity, alpha: float = 0.05,
                         exact: bool = False) -> SignificanceReport:
     """Evaluate a prediction set end to end.
@@ -372,9 +373,10 @@ def significance_report(catalog: Catalog, predictions: list[Prediction],
     ``z`` and ``significance`` are None, and the exact tail, when asked
     for, is still given.
     """
-    validate_predictions_against(predictions, catalog)
-    cp = chance_probabilities(predictions, density, catalog)
-    n_obs = count_successes(catalog, predictions)
+    ps = PredictionSet.of(predictions)
+    validate_predictions_against(ps, catalog)
+    cp = chance_probabilities(ps, density, catalog)
+    n_obs = count_successes(catalog, ps)
     z, sig = clt_significance(cp, n_obs) if cp.sigma > 0 else (None, None)
     exact_sig = exact_poisson_binomial(cp.probabilities, n_obs) if exact else None
     c_hat = enhancement_estimate(cp, n_obs)
@@ -392,5 +394,5 @@ def significance_report(catalog: Catalog, predictions: list[Prediction],
         c_min_capped=cmin.capped if cmin else False,
         c_min_residual=cmin.residual if cmin else None,
         alpha=alpha,
-        overlap_fraction=overlap_fraction(predictions),
+        overlap_fraction=overlap_fraction(ps),
     )

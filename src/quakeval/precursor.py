@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, Prediction
+from .catalog import Catalog, Prediction, PredictionSet
 from .errors import ValidationError
 
 
@@ -45,12 +45,12 @@ def _check_law_args(t, n: int, span: float):
         raise ValidationError("signal times must be finite")
     if (t < 0).any() or (t > span * (1 + 1e-12)).any():
         raise ValidationError("signal times must lie in [0, span]")
-    return np.minimum(t, span)
+    return t
 
 
 def tau_tail(t, u, n: int, span: float):
     """P(tau > u | signal at t).  Vectorized over u (and t if same shape)."""
-    t = _check_law_args(t, n, span)
+    t = np.minimum(_check_law_args(t, n, span), span)
     u = np.asarray(u, dtype=float)
     if (u < 0).any():
         raise ValidationError("delays must be >= 0")
@@ -60,10 +60,14 @@ def tau_tail(t, u, n: int, span: float):
 
 def tau_mean(t, n: int, span: float):
     """E[tau | signal at t] under the uniform-record law."""
-    t = _check_law_args(t, n, span)
-    a = t / span
-    out = (span / n) * (1.0 - a ** n)
+    out = _tau_mean(_check_law_args(t, n, span), n, span)
     return out if out.ndim else float(out)
+
+
+def _tau_mean(t: np.ndarray, n: int, span: float) -> np.ndarray:
+    """``tau_mean`` without its argument checks; t is clipped to span."""
+    a = np.minimum(t, span) / span
+    return (span / n) * (1.0 - a ** n)
 
 
 def tau_var(t, n: int, span: float):
@@ -72,16 +76,20 @@ def tau_var(t, n: int, span: float):
     At t = 0 this is T**2 (N-1) / (N**2 (N+1)); it decreases to zero at
     t = T.  (For N = 2, t = 0 it reduces to T**2 / 12.)
     """
-    t = _check_law_args(t, n, span)
-    a = t / span
+    out = _tau_var(_check_law_args(t, n, span), n, span)
+    return out if out.ndim else float(out)
+
+
+def _tau_var(t: np.ndarray, n: int, span: float) -> np.ndarray:
+    """``tau_var`` without its argument checks; t is clipped to span."""
+    a = np.minimum(t, span) / span
     an = a ** n
     out = span ** 2 * ((n - 1.0) / (n * n * (n + 1.0))
                        - (2.0 * (n - 1.0) / (n * n)) * an
                        + (2.0 / (n + 1.0)) * an * a
                        - (1.0 / (n * n)) * an * an)
     # the analytic zero at t = span would otherwise carry rounding residue
-    out = np.where(a >= 1.0, 0.0, np.maximum(out, 0.0))
-    return out if out.ndim else float(out)
+    return np.where(a >= 1.0, 0.0, np.maximum(out, 0.0))
 
 
 @dataclass(frozen=True)
@@ -109,11 +117,11 @@ def extract_delays(predictions: Sequence[Prediction], catalog: Catalog) -> Delay
     end of the record and contributes a censored zero delay.  Alarm
     magnitudes and regions are ignored (see the module docstring).
     """
-    if not predictions:
+    issue = PredictionSet.of(predictions).issue_times
+    if not len(issue):
         raise ValidationError("need at least one prediction")
     if len(catalog) == 0:
         raise ValidationError("catalog is empty")
-    issue = np.array([p.issue_time for p in predictions])
     origin = float(issue.min())
     times = catalog.times - origin
     times = times[times >= 0.0]

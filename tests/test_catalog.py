@@ -61,6 +61,19 @@ def test_catalog_subset():
     assert sub.span == cat.span
 
 
+def test_catalog_neither_shares_nor_follows_its_inputs():
+    columns = [np.array([3.0, 1.0, 2.0]), np.array([10.0, 20.0, 30.0]),
+               np.array([40.0, 50.0, 60.0]), np.array([5.0, 6.0, 7.0])]
+    cat = Catalog(*columns, 0.0, 10.0, REGION)
+    held = (cat.times, cat.xs, cat.ys, cat.magnitudes)
+    before = [c.copy() for c in held]
+    for column in columns:
+        assert not any(np.shares_memory(column, c) for c in held)
+        column[:] = -1.0
+    for now, then in zip(held, before):
+        assert np.array_equal(now, then)
+
+
 def test_prediction_validation():
     with pytest.raises(ValidationError):
         Prediction(0.0, 5.0, 4.0, REGION, 5.0)  # window reversed

@@ -1,11 +1,12 @@
 import json
+import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quakeval import load_density
+from quakeval import load_density, mc
 from quakeval.cli import run
 
 EQ = "tests/data/earthquakes.csv"
@@ -196,6 +197,32 @@ def test_simulate_rejects_non_finite_parameters(capsys, mode, flag, value, field
     err = capsys.readouterr().err
     assert code == 2
     assert f"{field} must be positive and finite, got {value}" in err
+    assert "Traceback" not in err
+
+
+def test_hopeless_follower_spread_exits_2_at_once(capsys):
+    argv = ["simulate", "--mode", "significance", "--replicates", "2",
+            "--n-events", "100", "--span", "1000", "--region", REGION,
+            "--predictions", PRED, "--clustering", "0.3", "--cluster-spread", "1e6"]
+    start = time.perf_counter()
+    code = run(argv)
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "clustering spatial_spread 1e+06 km is too wide" in err
+
+
+def test_follower_spread_that_stalls_exits_2_naming_the_field(monkeypatch, capsys):
+    """A spread the up-front bound lets through, with fewer redraw rounds
+    than the default so that the stall comes quickly."""
+    monkeypatch.setattr(mc, "_REDRAW_ROUNDS", 1000)
+    argv = ["simulate", "--mode", "significance", "--replicates", "2",
+            "--n-events", "100", "--span", "1000", "--region", REGION,
+            "--predictions", PRED, "--clustering", "0.3", "--cluster-spread", "1e4"]
+    code = run(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "clustering spatial_spread 10000 km: follower offsets keep landing" in err
     assert "Traceback" not in err
 
 

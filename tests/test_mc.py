@@ -179,6 +179,49 @@ def test_null_zscores_validation():
             null_zscores(10, 50, bad, 10)
 
 
+def test_delay_law_is_checked_once_per_simulation_not_per_block(monkeypatch):
+    """The blocks go through the unchecked kernels; the public moments
+    keep their checks."""
+    from quakeval import precursor
+    calls = []
+    check = precursor._check_law_args
+    monkeypatch.setattr(precursor, "_check_law_args",
+                        lambda *args: calls.append(1) or check(*args))
+    monkeypatch.setattr(mc, "_worker_count", lambda: 1)
+    m, n_events = 5, 40
+    block = mc._BLOCK_DOUBLES // (m * (n_events - 1))
+    counts = []
+    for replicates in (1, 3 * block + 1):
+        calls.clear()
+        null_zscores(m, n_events, 1000.0, replicates, seed=90, suppression_window=30.0)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
+    with pytest.raises(ValidationError, match="lie in"):
+        tau_mean([1.0, 2000.0], n_events, 1000.0)
+    with pytest.raises(ValidationError, match="lie in"):
+        tau_var(-1.0, n_events, 1000.0)
+
+
+def test_hopeless_follower_spread_is_refused_before_any_draw(monkeypatch):
+    monkeypatch.setattr(mc, "_simulate_arrays", lambda *args: pytest.fail("drew"))
+    wide = ClusteringParams(0.3, 10.0, 1e6)
+    with pytest.raises(ValidationError, match="clustering spatial_spread 1e\\+06 km"):
+        NullModel(100, 1000.0, UNIFORM, clustering=wide)
+    # no follower to place: nothing is refused
+    NullModel(1, 1000.0, UNIFORM, clustering=wide)
+    # 100k rounds * area / (2 pi spread^2) just above 1 %
+    spread = math.sqrt(mc._REDRAW_ROUNDS * REGION.area / (2 * math.pi * 0.0101))
+    NullModel(100, 1000.0, UNIFORM, clustering=ClusteringParams(0.3, 10.0, spread))
+
+
+def test_followers_that_keep_missing_are_a_validation_error(monkeypatch):
+    monkeypatch.setattr(mc, "_REDRAW_ROUNDS", 50)
+    rng = np.random.default_rng(91)
+    with pytest.raises(ValidationError, match="clustering spatial_spread 1000 km: "
+                                              "follower offsets keep landing outside"):
+        mc._offset_into_region(np.full((30, 2), 50.0), 1000.0, REGION, rng)
+
+
 def _slotted_predictions(count, span, duration, region, min_mag, seed):
     rng = np.random.default_rng(seed)
     slot = span / count

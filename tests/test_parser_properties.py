@@ -4,8 +4,9 @@ ValidationError, never another exception.
 The earthquake, prediction and KDE points CSVs are each fed arbitrary
 bytes (with and without a valid header in front) and CSV-shaped text
 built from numbers, blanks, words and stray quotes.  Valid earthquake
-tables must parse to the columns ``float`` gives cell by cell, and a
-single planted fault must be named by its row.  Examples are
+tables must parse to the columns ``float`` gives cell by cell, valid
+prediction tables to what a per-row reader gives, and a single planted
+fault must be named by its row.  Examples are
 derandomized so every run checks the same cases.
 """
 
@@ -18,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quakeval import (Rectangle, ValidationError, load_density, parse_earthquakes,
+from quakeval import (Circle, ConvexPolygon, Prediction, PredictionSet, Rectangle,
+                      ValidationError, load_density, parse_earthquakes,
                       parse_predictions)
 from quakeval import catalog as catalog_module
 from quakeval.catalog import EARTHQUAKE_HEADER, PREDICTION_HEADER
@@ -185,3 +187,140 @@ def test_a_parse_runs_the_region_test_once(monkeypatch):
     text = "time,x,y,magnitude\n5,2,3,4\n1,20,30,4\n"
     parse_earthquakes(io.StringIO(text), region=REGION, record_end=10.0)
     assert calls == [2]
+
+
+# ---------------------------------------------------- valid prediction tables
+
+def reference_parse_predictions(source, polygons: dict) -> list[Prediction]:
+    """The per-row prediction reader the columnar one replaced: one
+    ``Circle`` and one ``Prediction`` per row, every cell parsed alone."""
+    poly_map = {int(k): ConvexPolygon(v) for k, v in polygons.items()}
+    preds = []
+    with catalog_module._read_table(source, PREDICTION_HEADER) as table:
+        for i, cells in table:
+            issue, ws, we = (catalog_module._parse_float(cells[k], i, PREDICTION_HEADER[k])
+                             for k in range(3))
+            circle_cells = [c.strip() for c in cells[3:6]]
+            if all(circle_cells):
+                region = Circle(*(catalog_module._parse_float(cells[k], i, PREDICTION_HEADER[k])
+                                  for k in range(3, 6)))
+            elif any(circle_cells):
+                raise ValidationError(
+                    f"row {i}: cx, cy and radius must be all present or all empty")
+            else:
+                if i - 1 not in poly_map:
+                    raise ValidationError(
+                        f"row {i}: no circle columns and no polygon sidecar entry "
+                        f"for row index {i - 1}")
+                region = poly_map[i - 1]
+            mmin = catalog_module._parse_float(cells[6], i, "min_magnitude")
+            try:
+                preds.append(Prediction(issue, ws, we, region, mmin))
+            except ValidationError as exc:
+                raise ValidationError(f"row {i}: {exc}") from None
+    return preds
+
+
+CIRCLES = [("10", "20", "5"), (" 10.0", "2e1 ", "5"), ("60", "60", "7.5"), ("80", "30", "1")]
+POLYGONS = [[[0, 0], [10, 0], [10, 10], [0, 10]], [[0.0, 0.0], [10.0, 0.0], [10.0, 10.0],
+                                                   [0.0, 10.0]],
+            [[50, 50], [70, 50], [60, 65]]]
+window_cells = st.tuples(number_cells(100), number_cells(100), number_cells(100))
+# a circle from the pool (often repeated), a fresh one, or a polygon from the pool
+region_cells = st.one_of(st.sampled_from(CIRCLES),
+                         st.tuples(number_cells(100), number_cells(100),
+                                   st.integers(1, 50).map(str)),
+                         st.sampled_from(range(len(POLYGONS))))
+prediction_rows = st.lists(
+    st.tuples(st.sampled_from([None, "", ",,,,,,", " , ,\t, , , , "]),
+              window_cells, region_cells, number_cells(10)),
+    max_size=12)
+
+
+def write_predictions(path, rows) -> tuple[list[int], dict]:
+    """Write a prediction CSV from (blank, (a, b, c), region, magnitude)
+    rows, whose window is issued at a and runs from a + b to a + b + c;
+    returns each data row's number and the polygon sidecar."""
+    lines, numbers, sidecar = [",".join(PREDICTION_HEADER)], [], {}
+    for blank, (a, b, c), region, magnitude in rows:
+        if blank is not None:
+            lines.append(blank)
+        start = float(a) + float(b)
+        window = [a, repr(start), repr(start + float(c))]
+        if isinstance(region, int):
+            sidecar[str(len(lines) - 1)] = POLYGONS[region]
+            region = ("", " ", "")
+        lines.append(",".join([*window, *region, magnitude]))
+        numbers.append(len(lines) - 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return numbers, sidecar
+
+
+@PROPERTY
+@given(rows=prediction_rows, block=st.sampled_from([1, 3, 1024]))
+def test_valid_prediction_tables_match_the_row_reader(workdir, rows, block):
+    path = workdir / "predictions.csv"
+    _, sidecar = write_predictions(path, rows)
+    with mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        got = parse_predictions(path, polygons=sidecar)
+    want = reference_parse_predictions(path, sidecar)
+    assert isinstance(got, PredictionSet) and len(got) == len(want)
+    for column, field in [("issue_times", "issue_time"), ("window_starts", "window_start"),
+                          ("window_ends", "window_end"), ("min_magnitudes", "min_magnitude")]:
+        expected = np.array([getattr(p, field) for p in want], dtype=float)
+        assert getattr(got, column).tobytes() == expected.tobytes()
+    first = list(dict.fromkeys(p.region for p in want))
+    assert list(got.regions) == first
+    assert got.region_index.tolist() == [first.index(p.region) for p in want]
+    assert list(got) == want
+
+
+# fault -> (replace the row's window, region or magnitude cells, the error after "row N: ")
+PREDICTION_FAULTS = {
+    "bad number": (("window", ("0", "1..2", "3")), "window_start value '1..2' is not a number"),
+    "non-finite": (("magnitude", "inf"), "min_magnitude value 'inf' is not finite"),
+    "partial circle": (("region", ("5", "", "3")), "cx, cy and radius must be all present "
+                                                   "or all empty"),
+    "missing sidecar entry": (("region", ("", "", "")), "no circle columns and no polygon "
+                                                        "sidecar entry for row index"),
+    "reversed window": (("window", ("0", "5", "4")), "prediction window ends before it starts"),
+    "late issue": (("window", ("6", "5", "7")), "prediction issued after its window opened"),
+    "zero radius": (("region", ("5", "5", "0")), "circle radius must be positive"),
+    "negative radius": (("region", ("5", "5", "-2")), "circle radius must be positive"),
+}
+
+
+@PROPERTY
+@given(rows=prediction_rows.filter(len), fault=st.sampled_from(sorted(PREDICTION_FAULTS)),
+       data=st.data())
+def test_a_planted_prediction_fault_is_named_by_its_row(workdir, rows, fault, data):
+    (part, cells), message = PREDICTION_FAULTS[fault]
+    k = data.draw(st.integers(0, len(rows) - 1), label="row index")
+    path = workdir / "faulty-predictions.csv"
+    numbers, sidecar = write_predictions(path, rows)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    row = lines[numbers[k]].split(",")
+    if part == "window":
+        row[:3] = cells
+    elif part == "region":
+        row[3:6] = cells
+        sidecar.pop(str(numbers[k] - 1), None)
+    else:
+        row[6] = cells
+    lines[numbers[k]] = ",".join(row)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as caught:
+        parse_predictions(path, polygons=sidecar)
+    assert str(caught.value).startswith(f"{path}: row {numbers[k]}: {message}")
+
+
+def test_prediction_faults_come_in_file_order_by_kind():
+    header = ",".join(PREDICTION_HEADER)
+    window_then_cell = f"{header}\n0,5,4,1,1,1,5\n0,x,4,1,1,1,5\n"
+    radius_then_cell = f"{header}\n0,1,4,1,1,0,5\n0,1,4,1,1,1,abc\n"
+    window_then_radius = f"{header}\n0,5,4,1,1,1,5\n0,1,4,1,1,-1,5\n"
+    for text, message in [(window_then_cell, "row 2: window_start value 'x'"),
+                          (radius_then_cell, "row 2: min_magnitude value 'abc'"),
+                          (window_then_radius, "row 2: circle radius must be positive")]:
+        with pytest.raises(ValidationError, match=message):
+            parse_predictions(io.StringIO(text))
