@@ -6,6 +6,9 @@ chance alone, how significant the observed success count is, and
 whether the timing of signals relative to events shows genuine
 precursor behaviour.  Supporting pieces: spatial density models over a
 study region, synthetic-catalog Monte Carlo, and an aftershock filter.
+
+Importing the package loads numpy but not scipy: each function that
+computes with scipy imports the part it needs when it runs.
 """
 
 from .catalog import (AftershockPolicy, Catalog, FilterResult, Prediction,

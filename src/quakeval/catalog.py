@@ -120,7 +120,7 @@ class PredictionSet(abc.Sequence):
     equal regions).  The constructor copies the columns and checks each
     row as ``Prediction`` does, naming the first at fault by its 0-based
     position (``prediction N: ...``).  ``of`` converts a sequence of
-    ``Prediction``s; indexing gives ``Prediction`` rows.
+    ``Prediction``s; indexing gives ``Prediction`` rows, not checked again.
     """
 
     issue_times: np.ndarray
@@ -160,9 +160,14 @@ class PredictionSet(abc.Sequence):
         return len(self.region_index)
 
     def __getitem__(self, k: int) -> Prediction:
-        return Prediction(float(self.issue_times[k]), float(self.window_starts[k]),
-                          float(self.window_ends[k]), self.regions[self.region_index[k]],
-                          float(self.min_magnitudes[k]))
+        # the set's columns are checked, so its rows skip ``Prediction``'s check
+        row = object.__new__(Prediction)
+        row.__dict__.update(issue_time=float(self.issue_times[k]),
+                            window_start=float(self.window_starts[k]),
+                            window_end=float(self.window_ends[k]),
+                            region=self.regions[self.region_index[k]],
+                            min_magnitude=float(self.min_magnitudes[k]))
+        return row
 
     def check_record(self, start: float, end: float, slack: float = 1e-9,
                      rel_slack: float = 0.0, record: str = "record", also=None) -> None:
@@ -543,9 +548,16 @@ def validate_predictions_against(predictions: Sequence[Prediction],
                                  catalog: Catalog) -> None:
     """Check every prediction window and region against a catalog's record."""
     ps = PredictionSet.of(predictions)
-    escaping = np.array([not contains_region(catalog.region, r) for r in ps.regions], bool)
     ps.check_record(catalog.record_start, catalog.record_end, also=(
-        escaping[ps.region_index], lambda k: "alarm region is not inside the study region"))
+        _escaping(ps, catalog.region),
+        lambda k: "alarm region is not inside the study region"))
+
+
+def _escaping(ps: PredictionSet, region: Region) -> np.ndarray:
+    """Per prediction, whether its alarm region leaves ``region``; each
+    distinct alarm region is tested once."""
+    outside = np.array([not contains_region(region, r) for r in ps.regions], bool)
+    return outside[ps.region_index]
 
 
 @dataclass(frozen=True)

@@ -29,12 +29,10 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from .catalog import (Catalog, Prediction, PredictionSet, _pair_blocks,
                       validate_predictions_against)
-from .errors import ValidationError
+from .errors import QuakevalError, ValidationError
 from .spatial import SpatialDensity
 
 
@@ -232,6 +230,7 @@ def clt_significance(probs, n_observed: int) -> tuple[float, float]:
     significance = P(X >= n_observed) under the null, with continuity
     correction; small values mean the count is too high to be chance.
     """
+    from scipy.special import ndtr
     _, mu, sigma = _aggregates(probs)
     if n_observed < 0:
         raise ValidationError("observed count must be >= 0")
@@ -274,6 +273,7 @@ def min_consistent_c(probs, n_observed: int, alpha: float = 0.05) -> CMin:
     point estimate c_hat is the smallest enhancement the data cannot
     reject at level alpha.
     """
+    from scipy.special import ndtr
     p, mu, _ = _aggregates(probs)
     if not 0.0 < alpha < 0.5:
         raise ValidationError("alpha must lie in (0, 0.5)")
@@ -303,8 +303,52 @@ def min_consistent_c(probs, n_observed: int, alpha: float = 0.05) -> CMin:
         return CMin(c_cap, True, g(c_cap), alpha)
     i = int(idx[0])
     lo = grid[i - 1] if i > 0 else c_cap * 1e-12
-    root = float(brentq(g, lo, grid[i], xtol=1e-13, rtol=8.9e-16))
+    root = _brentq(g, float(lo), float(grid[i]), xtol=1e-13, rtol=8.9e-16)
     return CMin(root, False, g(root), alpha)
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` between ``a`` and ``b``, where f changes sign, by
+    Brent's method.  This transcribes the C routine behind
+    ``scipy.optimize.brentq`` step for step, so it returns the same
+    float, without loading ``scipy.optimize``."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):  # scipy's default maxiter
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise QuakevalError("Brent's method did not converge in 100 steps")
 
 
 def overlap_fraction(predictions: Sequence[Prediction]) -> float:

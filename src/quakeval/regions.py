@@ -23,16 +23,18 @@ how narrow the kernel is against the shape:
   dropped tails hold under 3e-15.
 
 Masses are clipped to [0, 1].  Tests check them against ``ndtr``
-products, ``chndtr`` and ``dblquad`` on the whitened problem.
+products, ``chndtr`` and ``dblquad`` on the whitened problem.  The
+rules import ``scipy.special`` when first called, so that commands
+which compute no mass never load it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr, owens_t, roots_legendre
 
 from .errors import QuakevalError, ValidationError
 
@@ -40,7 +42,17 @@ _EDGE_TOL = 1e-9
 _EVAL_CHUNK = 4_000_000  # elements per temporary array in blocked kernel work
 _SD_CUT = 8.0  # a Gaussian carries 1.2e-15 of its mass beyond 8 SD
 _PM = np.array([-1.0, 1.0])
-_GL_X, _GL_W = roots_legendre(64)
+_GL_NODES = 64  # Gauss-Legendre nodes per sub-interval of the circle rule
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``_GL_NODES``-point rule on [-1, 1],
+    read-only since every call shares them."""
+    from scipy.special import roots_legendre
+    nodes, weights = roots_legendre(_GL_NODES)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -298,10 +310,12 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
     chord end crosses the kernel's +-8 SD band; sub-intervals outside
     the band carry nothing and are dropped.
     """
+    from scipy.special import ndtr
+    gl_x, gl_w = _gauss_legendre()
     lam, rot = np.linalg.eigh(cov)
     sx, sy = np.sqrt(lam)
-    # 8 cut points per row bound 7 sub-intervals of len(_GL_X) nodes
-    step = max(1, _EVAL_CHUNK // (7 * len(_GL_X)))
+    # 8 cut points per row bound 7 sub-intervals of _GL_NODES nodes
+    step = max(1, _EVAL_CHUNK // (7 * _GL_NODES))
 
     def block(shapes: slice, m: np.ndarray) -> np.ndarray:
         c = circles[shapes]
@@ -325,7 +339,7 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
                 & (oy + chord_mid > -_SD_CUT * sy) & (oy - chord_mid < _SD_CUT * sy))
         k, j = np.nonzero(live)
         centre, half = mid[k, j, None], 0.5 * (hi - lo)[k, j, None]
-        theta = centre + half * _GL_X
+        theta = centre + half * gl_x
         rk, oyk = r[k], oy[k]
         x = ox[k] + rk * np.sin(theta)
         chord = rk * np.cos(theta)
@@ -333,7 +347,7 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
              * (ndtr((oyk + chord) / sy) - ndtr((oyk - chord) / sy)) * chord)
         # a sum per row, not a BLAS matrix product, whose rounding would
         # depend on how many rows share the call
-        mass = np.bincount(k, weights=np.einsum("ij,j->i", f, _GL_W) * half[:, 0],
+        mass = np.bincount(k, weights=np.einsum("ij,j->i", f, gl_w) * half[:, 0],
                            minlength=len(o))
         return mass.reshape(len(c), len(m))
 
@@ -355,6 +369,7 @@ def _polygon_masses(vertices: np.ndarray, means: np.ndarray, cov: np.ndarray) ->
     orientation.  An edge whose line passes through the origin spans a
     degenerate triangle and adds nothing.
     """
+    from scipy.special import owens_t
     low_inv = np.linalg.inv(np.linalg.cholesky(cov))
     # whitened edges are the same for every kernel
     e = (np.concatenate([vertices[:, 1:], vertices[:, :1]], axis=1) - vertices) @ low_inv.T

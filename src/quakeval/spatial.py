@@ -34,7 +34,6 @@ from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .catalog import _read_floats, _read_table, _write_table
 from .errors import FitError, QuakevalError, ValidationError
@@ -439,6 +438,7 @@ def fit_parametric(points, region: Region, max_iterations: int = 10_000) -> FitR
         FitError: no convergence within the iteration cap; the best
             iterate is attached as ``.best``.
     """
+    from scipy.optimize import minimize
     pts = _as_points(points)
     if len(pts) < 10:
         raise ValidationError(

@@ -311,6 +311,17 @@ def test_significance_with_zero_null_variance(tmp_path, capsys):
     assert payload["exact_significance"] == 1.0
 
 
+def test_significance_and_simulate_name_the_prediction_whose_region_leaves_the_region(
+        tmp_path, capsys):
+    preds = _write_predictions(tmp_path, ["0,10,50,100,100,20,4", "0,10,50,195,100,20,4"])
+    simulate = ["simulate", "--mode", "significance", "--replicates", "4",
+                "--n-events", "50", "--span", "1000", "--region", REGION]
+    for argv in (["significance", *_base_args()], simulate):
+        assert run([*argv, *preds]) == 2
+        assert capsys.readouterr().err \
+            == "error: prediction 1: alarm region is not inside the study region\n"
+
+
 def test_enhancement_rejects_window_outside_record(tmp_path, capsys):
     preds = _write_predictions(tmp_path, ["900,900,1100,100,100,10,3.0"])
     for command in ("significance", "enhancement"):

@@ -14,6 +14,7 @@ from quakeval import (Catalog, Circle, ConvexPolygon, NullModel, ParametricDensi
                       extract_delays, overlap_fraction, parse_predictions,
                       serialize_predictions, significance_report,
                       validate_predictions_against)
+from quakeval import catalog as catalog_module
 from quakeval import mc
 
 REGION = Rectangle(0.0, 200.0, 0.0, 200.0)
@@ -167,6 +168,25 @@ def test_row_and_set_share_their_checks(fields, message):
         PredictionSet([0.0, issue], [1.0, start], [2.0, end], [5.0, magnitude], [0, 0],
                       [REGION])
     assert str(table.value) == f"prediction 1: {message}"
+
+
+def test_rows_of_a_checked_set_are_not_checked_again(monkeypatch):
+    preds = _predictions(5, rectangles=True)
+    ps = PredictionSet.of(preds)
+
+    def refuse(*columns):
+        raise AssertionError("a row of a checked set was checked again")
+
+    monkeypatch.setattr(catalog_module, "_check_windows", refuse)
+    rows = list(ps)
+    assert rows == preds and [asdict(row) for row in rows] == [asdict(p) for p in preds]
+    assert all(type(row) is Prediction for row in rows)
+    assert {hash(row) for row in rows} == {hash(p) for p in preds}
+    with pytest.raises(AssertionError, match="checked again"):
+        Prediction(0.0, 1.0, 2.0, REGION, 5.0)
+    monkeypatch.undo()
+    with pytest.raises(ValidationError, match="prediction window ends before it starts"):
+        Prediction(0.0, 5.0, 4.0, REGION, 5.0)
 
 
 def test_set_rejects_misshapen_columns():
