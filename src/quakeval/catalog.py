@@ -169,20 +169,24 @@ class PredictionSet(abc.Sequence):
                             min_magnitude=float(self.min_magnitudes[k]))
         return row
 
-    def check_record(self, start: float, end: float, slack: float = 1e-9,
-                     rel_slack: float = 0.0, record: str = "record", also=None) -> None:
+    def check_record(self, region: Region, start: float, end: float, slack: float = 1e-9,
+                     record: str = "record", also=None) -> None:
         """Raise a ``ValidationError`` naming the first prediction whose
-        window leaves [start - slack, end * (1 + rel_slack) + slack], the
-        record widened, or that the mask of a (mask, fault) pair ``also``
-        marks, with the message ``fault(k)``; the window comes first."""
-        outside = ((self.window_starts < start - slack)
-                   | (self.window_ends > end * (1 + rel_slack) + slack))
-        bad = outside if also is None else outside | also[0]
+        window leaves [start - slack, end + slack], the record widened,
+        whose alarm region is not inside the study ``region``, or that the
+        mask of a (mask, fault) pair ``also`` marks, with the message
+        ``fault(k)``; within a prediction the faults come in that order.
+        Each distinct alarm region is tested once."""
+        outside = (self.window_starts < start - slack) | (self.window_ends > end + slack)
+        escaping = np.array([not contains_region(region, r) for r in self.regions],
+                            bool)[self.region_index]
+        bad = outside | escaping if also is None else outside | escaping | also[0]
         if bad.any():
             k = int(np.argmax(bad))
             raise ValidationError(f"prediction {k}: " + (
                 f"window [{self.window_starts[k]:g}, {self.window_ends[k]:g}] is outside "
-                f"the {record} [{start:g}, {end:g}]" if outside[k] else also[1](k)))
+                f"the {record} [{start:g}, {end:g}]" if outside[k] else
+                "alarm region is not inside the study region" if escaping[k] else also[1](k)))
 
 
 @dataclass(frozen=True)
@@ -193,8 +197,11 @@ class AftershockPolicy:
     distance_window: float
 
     def __post_init__(self):
-        if self.time_window < 0 or self.distance_window < 0:
-            raise ValidationError("aftershock windows must be nonnegative")
+        for name in ("time_window", "distance_window"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:  # also false for NaN
+                raise ValidationError(
+                    f"aftershock {name} must be nonnegative and finite, got {value:g}")
 
 
 class Catalog:
@@ -211,15 +218,18 @@ class Catalog:
     The columns are copied once, sorted by time on construction (a
     stable sort, so ties keep their input order).  The column arrays (``times``,
     ``xs``, ``ys``, ``magnitudes``) are read-only and safe to share
-    between threads.  Every field must be finite, every time inside the
-    record span (to 1e-9 days) and every epicentre inside ``region``;
-    otherwise a ``ValidationError`` names the first event at fault by
-    its 0-based input position (``event N: ...``), and its time if both
-    are at fault.
+    between threads.  The record bounds must be finite and in order.
+    Every field must be finite, every time inside the record span (to
+    1e-9 days) and every epicentre inside ``region``; otherwise a
+    ``ValidationError`` names the first event at fault by its 0-based
+    input position (``event N: ...``), and its time if both are at fault.
     """
 
     def __init__(self, times, xs, ys, magnitudes, record_start: float,
                  record_end: float, region: Region):
+        for name, value in (("record_start", record_start), ("record_end", record_end)):
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value:g}")
         if record_end <= record_start:
             raise ValidationError("record_end must exceed record_start")
         t, x, y, m = (np.asarray(c, dtype=float) for c in (times, xs, ys, magnitudes))
@@ -547,17 +557,8 @@ def serialize_predictions(predictions: Sequence[Prediction],
 def validate_predictions_against(predictions: Sequence[Prediction],
                                  catalog: Catalog) -> None:
     """Check every prediction window and region against a catalog's record."""
-    ps = PredictionSet.of(predictions)
-    ps.check_record(catalog.record_start, catalog.record_end, also=(
-        _escaping(ps, catalog.region),
-        lambda k: "alarm region is not inside the study region"))
-
-
-def _escaping(ps: PredictionSet, region: Region) -> np.ndarray:
-    """Per prediction, whether its alarm region leaves ``region``; each
-    distinct alarm region is tested once."""
-    outside = np.array([not contains_region(region, r) for r in ps.regions], bool)
-    return outside[ps.region_index]
+    PredictionSet.of(predictions).check_record(catalog.region, catalog.record_start,
+                                               catalog.record_end)
 
 
 @dataclass(frozen=True)

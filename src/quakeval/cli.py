@@ -27,9 +27,9 @@ from .errors import QuakevalError, ValidationError
 from .mc import ClusteringParams, NullModel, empirical_significance, null_zscores
 from .nulltest import significance_report
 from .precursor import extract_delays, precursor_test
-from .regions import Rectangle
-from .spatial import (ParametricDensity, fit_kde, fit_parametric, load_density,
-                      save_density)
+from .regions import Rectangle, Region
+from .spatial import (ParametricDensity, SpatialDensity, fit_kde, fit_parametric,
+                      load_density, save_density)
 
 
 def _numpy_value(obj):
@@ -48,7 +48,10 @@ def _render(payload: dict) -> str:
     return json.dumps(payload, indent=2, allow_nan=False, default=_numpy_value) + "\n"
 
 
-def _parse_region_spec(text: str) -> Rectangle:
+def _parse_region_spec(text: str | None) -> Rectangle | None:
+    """The rectangle a ``--region`` value gives; None when there is none."""
+    if not text:
+        return None
     parts = text.split(",")
     if len(parts) != 4:
         raise ValidationError(
@@ -60,28 +63,51 @@ def _parse_region_spec(text: str) -> Rectangle:
     return Rectangle(xmin, xmax, ymin, ymax)
 
 
-def _load_catalog(args) -> Catalog:
-    region = _parse_region_spec(args.region) if args.region else None
+def _load_catalog(args, region: Region | None = None) -> Catalog:
+    """The catalog over the study region: ``region`` if given, else
+    ``--region``, else the events' bounding box."""
+    if region is None:
+        region = _parse_region_spec(args.region)
     return parse_earthquakes(args.earthquakes, region=region,
                              record_start=args.record_start,
                              record_end=args.record_end)
 
 
-def _resolve_density(spec: str, catalog: Catalog):
-    if spec == "uniform":
-        return ParametricDensity.uniform(catalog.region)
+def _load_model(args) -> SpatialDensity | None:
+    """The density model file ``--density`` names; None for 'uniform' and
+    'fit'.  The model's region is the study region, so an explicit
+    ``--region`` must be that region."""
+    if args.density in ("uniform", "fit"):
+        return None
+    model = load_density(args.density)
+    region = _parse_region_spec(args.region)
+    if region is not None and region != model.region:
+        raise ValidationError(f"--region {args.region} is not the region of the density "
+                              f"model {args.density}, {model.region!r}")
+    return model
+
+
+def _resolve_density(spec: str, region: Region | None, catalog: Catalog | None = None):
+    """The density 'uniform' or 'fit' names: the uniform density over the
+    study ``region``, or the parametric fit to ``catalog``'s events.
+    Simulations have no catalog, so they cannot fit, and their uniform
+    density needs an explicit ``--region``."""
     if spec == "fit":
-        points = np.column_stack([catalog.xs, catalog.ys])
-        return fit_parametric(points, catalog.region).density
-    return load_density(spec)
+        if catalog is None:
+            raise ValidationError("simulate needs a concrete density: a model file or 'uniform'")
+        return fit_parametric(np.column_stack([catalog.xs, catalog.ys]), region).density
+    if region is None:
+        raise ValidationError("simulate with a uniform density needs an explicit --region")
+    return ParametricDensity.uniform(region)
 
 
 def _add_catalog_args(sub):
     sub.add_argument("--earthquakes", required=True,
                      help="earthquake CSV (time,x,y,magnitude)")
     sub.add_argument("--region", default=None,
-                     help="study rectangle as xmin,xmax,ymin,ymax; "
-                          "defaults to the events' bounding box")
+                     help="study rectangle as xmin,xmax,ymin,ymax; defaults to "
+                          "the --density model file's region, else the events' "
+                          "bounding box")
     sub.add_argument("--record-start", type=float, default=0.0,
                      help="record origin in days (default 0)")
     sub.add_argument("--record-end", type=float, default=None,
@@ -134,9 +160,11 @@ def _cmd_fit_density(args) -> dict:
 
 def _scoring_inputs(args):
     """Catalog, predictions and density of a significance-style command."""
-    catalog = _load_catalog(args)
+    model = _load_model(args)
+    catalog = _load_catalog(args, None if model is None else model.region)
     predictions = parse_predictions(args.predictions, polygons=args.polygons)
-    return catalog, predictions, _resolve_density(args.density, catalog)
+    return catalog, predictions, model or _resolve_density(args.density, catalog.region,
+                                                           catalog)
 
 
 def _cmd_significance(args) -> dict:
@@ -170,6 +198,8 @@ def _cmd_precursor(args) -> dict:
 def _cmd_simulate(args) -> dict:
     config = {"mode": args.mode, "seed": args.seed, "replicates": args.replicates}
     if args.mode == "delays":
+        if args.m_signals is None:
+            raise ValidationError("simulate --mode delays needs --m-signals")
         summary = null_zscores(args.m_signals, args.n_events, args.span,
                                args.replicates, seed=args.seed,
                                suppression_window=args.suppression_window,
@@ -183,18 +213,10 @@ def _cmd_simulate(args) -> dict:
     if args.predictions is None:
         raise ValidationError("simulate --mode significance needs --predictions")
     predictions = parse_predictions(args.predictions, polygons=args.polygons)
-    if args.density == "uniform":
-        if args.region is None:
-            raise ValidationError(
-                "simulate with a uniform density needs an explicit --region")
-        density = ParametricDensity.uniform(_parse_region_spec(args.region))
-    elif args.density == "fit":
-        raise ValidationError(
-            "simulate needs a concrete density: a model file or 'uniform'")
-    else:
-        density = load_density(args.density)
+    density = _load_model(args) or _resolve_density(args.density,
+                                                    _parse_region_spec(args.region))
     clustering = None
-    if args.clustering > 0:
+    if args.clustering != 0:  # so that a negative or NaN fraction meets its check
         clustering = ClusteringParams(args.clustering, args.cluster_decay,
                                       args.cluster_spread)
     model = NullModel(args.n_events, args.span, density,
@@ -289,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", default="uniform",
                    help="model JSON path or 'uniform'")
     p.add_argument("--region", default=None,
-                   help="study rectangle for the uniform density")
+                   help="study rectangle for the uniform density; a --density "
+                        "model file brings its own")
     p.add_argument("--clustering", type=float, default=0.0,
                    help="fraction of events converted to dependent followers")
     p.add_argument("--cluster-decay", type=float, default=10.0,
@@ -332,10 +355,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.subcommand == "simulate" and args.mode == "delays" \
-            and args.m_signals is None:
-        print("error: simulate --mode delays needs --m-signals", file=sys.stderr)
-        return 2
     try:
         payload = args.func(args)
     except ValidationError as exc:

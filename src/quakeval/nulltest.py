@@ -33,6 +33,7 @@ import numpy as np
 from .catalog import (Catalog, Prediction, PredictionSet, _pair_blocks,
                       validate_predictions_against)
 from .errors import QuakevalError, ValidationError
+from .regions import contains_region
 from .spatial import SpatialDensity
 
 
@@ -120,11 +121,17 @@ def chance_probabilities(predictions: Sequence[Prediction], density: SpatialDens
     """Chance probabilities against a catalog's background.
 
     A prediction's background count N is the number of catalog events
-    at or above its magnitude threshold.
+    at or above its magnitude threshold.  The null spreads those events
+    over the density's region, so it must be the catalog's study region
+    (each contains the other).
     """
     ps = PredictionSet.of(predictions)
     if not len(ps):
         raise ValidationError("need at least one prediction")
+    if not (contains_region(density.region, catalog.region)
+            and contains_region(catalog.region, density.region)):
+        raise ValidationError(f"the density's region {density.region!r} is not the "
+                              f"catalog's study region {catalog.region!r}")
     thresholds = ps.min_magnitudes
     mags = np.sort(catalog.magnitudes)
     n_bg = len(mags) - np.searchsorted(mags, thresholds, side="left")

@@ -187,8 +187,8 @@ def precursor_test(observations, n_events: int, span: float,
         raise ValidationError("delay observations must be finite")
     if (obs < 0).any():
         raise ValidationError("signal time and delay must be >= 0")
-    if threshold <= 0:
-        raise ValidationError("threshold must be positive")
+    if not 0.0 < threshold < math.inf:  # also false for NaN
+        raise ValidationError(f"threshold must be positive and finite, got {threshold:g}")
     t, tau = obs.T
     means = tau_mean(t, n_events, span)
     variances = tau_var(t, n_events, span)

@@ -4,15 +4,15 @@ Coordinates are kilometre offsets from a fixed reference origin, so all
 geometry is Euclidean.  Three shapes cover everything the evaluation
 needs: axis-aligned rectangles (study areas), circles (alarm zones) and
 convex polygons (irregular alarm zones).  Every shape knows its area,
-its bounding box, point membership, whether it fully contains another
-shape, how to draw uniform samples from itself, and the mass it holds
-under a bivariate Gaussian.
+its bounding box, point membership and how to draw uniform samples from
+itself; ``contains_region`` tells whether one shape fully contains
+another.
 
-``gaussian_masses(regions, means, cov)`` gives P(N(mean_j, cov) in
-region i) for every region and every row of ``means`` in one call, and
-each shape's ``gaussian_mass(means, cov)`` is that call for one region;
-both density families are built from it.  Accuracy does not depend on
-how narrow the kernel is against the shape:
+``gaussian_masses(regions, means, cov)`` gives the mass each region
+holds under a bivariate Gaussian, P(N(mean_j, cov) in region i), for
+every region and every row of ``means`` in one call; both density
+families are built from it.  Accuracy does not depend on how
+narrow the kernel is against the shape:
 
 * Rectangles and convex polygons are closed form (Owen's T function per
   edge, after whitening): absolute error about 1e-15 per edge.
@@ -97,10 +97,6 @@ class Rectangle:
         return np.array([(self.x_min, self.y_min), (self.x_max, self.y_min),
                          (self.x_max, self.y_max), (self.x_min, self.y_max)])
 
-    def gaussian_mass(self, means, cov) -> np.ndarray:
-        """P(N(mean_i, cov) in the rectangle) for each row of ``means``."""
-        return gaussian_masses([self], means, cov)[0]
-
     def to_dict(self) -> dict:
         return {"type": "rectangle", "x_min": self.x_min, "x_max": self.x_max,
                 "y_min": self.y_min, "y_max": self.y_max}
@@ -140,10 +136,6 @@ class Circle:
         theta = 2.0 * np.pi * rng.random(count)
         return np.column_stack([self.cx + rho * np.cos(theta),
                                 self.cy + rho * np.sin(theta)])
-
-    def gaussian_mass(self, means, cov) -> np.ndarray:
-        """P(N(mean_i, cov) in the circle) for each row of ``means``."""
-        return gaussian_masses([self], means, cov)[0]
 
     def to_dict(self) -> dict:
         return {"type": "circle", "cx": self.cx, "cy": self.cy, "radius": self.radius}
@@ -220,10 +212,6 @@ class ConvexPolygon:
                                     ymin + rng.random(n) * (ymax - ymin)])
 
         return sample_inside(self, count, propose)
-
-    def gaussian_mass(self, means, cov) -> np.ndarray:
-        """P(N(mean_i, cov) in the polygon) for each row of ``means``."""
-        return gaussian_masses([self], means, cov)[0]
 
     def to_dict(self) -> dict:
         return {"type": "polygon", "vertices": self._v.tolist()}

@@ -35,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .catalog import _read_floats, _read_table, _write_table
+from .catalog import _EventError, _read_floats, _read_table, _write_table
 from .errors import FitError, QuakevalError, ValidationError
 from .regions import (_EVAL_CHUNK, Region, contains_region, gaussian_masses,
                       region_from_dict, sample_inside)
@@ -237,7 +237,9 @@ class KernelDensity(_Density):
         outside = np.flatnonzero(~np.asarray(
             region.contains(self.points[:, 0], self.points[:, 1]), bool))
         if len(outside):
-            raise _PointError(int(outside[0]))
+            k = int(outside[0])
+            raise _EventError(k, f"kernel point ({self.points[k, 0]:g}, {self.points[k, 1]:g}) "
+                                 "lies outside the model's region", "point")
         self.bandwidth = _check_spd(bandwidth, "bandwidth")
         self._h_inv = np.linalg.inv(self.bandwidth)
         self._norm_kernel = 1.0 / (2.0 * np.pi * math.sqrt(np.linalg.det(self.bandwidth)))
@@ -298,14 +300,6 @@ class KernelDensity(_Density):
                 f"region={type(self.region).__name__})")
 
 
-class _PointError(ValidationError):
-    """A kernel point outside the region, at 0-based ``position``."""
-
-    def __init__(self, position: int):
-        super().__init__("kernel points must lie inside the region")
-        self.position = position
-
-
 SpatialDensity = Union[ParametricDensity, KernelDensity]
 
 
@@ -354,7 +348,7 @@ def _fit_objective(pts: np.ndarray, region: Region):
     = log(pi) - log L00 - log L11 + log G, with G the mass of
     N(x_c, (2Q)^-1) in the region, only log G is differenced centrally:
     the base mass and the four centre shifts share one covariance and
-    one ``gaussian_mass`` call, then one call per shifted Cholesky
+    one ``gaussian_masses`` call, then one call per shifted Cholesky
     entry.  A degenerate covariance scores n (log A + 1), above the
     start's value (at most n log 2A at weight 1/2), so no search accepts
     it.
@@ -365,7 +359,7 @@ def _fit_objective(pts: np.ndarray, region: Region):
     penalty = n * (log_area + 1.0)
 
     def log_g(means, cov) -> np.ndarray:
-        return np.log(np.maximum(region.gaussian_mass(means, cov), _MASS_FLOOR))
+        return np.log(np.maximum(gaussian_masses([region], means, cov)[0], _MASS_FLOOR))
 
     def objective(theta) -> tuple[float, np.ndarray]:
         cx, cy, s1, s2, l21, u = (float(v) for v in theta)
@@ -559,10 +553,8 @@ def density_from_dict(data: dict, base_dir: Path | None = None) -> SpatialDensit
         bandwidth = _field(data, "bandwidth", _matrix)
         try:
             return KernelDensity(pts, bandwidth, region)
-        except _PointError as exc:
-            k = exc.position
-            raise ValidationError(f"{path}: row {rows[k]}: kernel point ({pts[k, 0]:g}, "
-                                  f"{pts[k, 1]:g}) lies outside the model's region") from None
+        except _EventError as exc:
+            raise ValidationError(f"{path}: row {rows[exc.position]}: {exc.fault}") from None
         except ValidationError as exc:  # the bandwidth's or the normalization's
             raise _ModelError(str(exc)) from None
     raise _ModelError(f"unknown density type {kind!r}")

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -43,6 +44,10 @@ def test_catalog_rejects_out_of_record_and_region():
         catalog([ev(5.0, x=150.0)], 0.0, 10.0, REGION)
     with pytest.raises(ValidationError):
         catalog([], 5.0, 5.0, REGION)
+    with pytest.raises(ValidationError, match="record_start must be finite, got nan"):
+        catalog([ev(1.0)], math.nan, 10.0, REGION)
+    with pytest.raises(ValidationError, match="record_end must be finite, got inf"):
+        catalog([ev(1.0)], 0.0, math.inf, REGION)
     with pytest.raises(ValidationError, match="equal length"):
         Catalog([1.0], [50.0, 50.0], [50.0], [5.0], 0.0, 10.0, REGION)
 
@@ -341,3 +346,8 @@ def test_aftershock_policy_validation():
         AftershockPolicy(-1.0, 5.0)
     with pytest.raises(ValidationError):
         AftershockPolicy(1.0, -5.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match=f"time_window .* got {value}"):
+            AftershockPolicy(value, 5.0)
+        with pytest.raises(ValidationError, match=f"distance_window .* got {value}"):
+            AftershockPolicy(1.0, value)

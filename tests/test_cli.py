@@ -120,7 +120,7 @@ def test_simulate_delays_needs_signal_count(capsys):
     code = run(["simulate", "--mode", "delays", "--replicates", "10",
                 "--n-events", "50", "--span", "1000"])
     assert code == 2
-    assert "m-signals" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: simulate --mode delays needs --m-signals\n"
 
 
 def test_simulate_significance(tmp_path, capsys):
@@ -158,7 +158,8 @@ def test_simulate_significance_rejects_fit_density(capsys):
                 "--predictions", PRED, "--region", REGION,
                 "--density", "fit"])
     assert code == 2
-    assert "density" in capsys.readouterr().err.lower()
+    assert capsys.readouterr().err \
+        == "error: simulate needs a concrete density: a model file or 'uniform'\n"
 
 
 SIMULATE = {
@@ -198,6 +199,42 @@ def test_simulate_rejects_non_finite_parameters(capsys, mode, flag, value, field
     assert code == 2
     assert f"{field} must be positive and finite, got {value}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("drop, message", [
+    ("--predictions", "simulate --mode significance needs --predictions"),
+    ("--region", "simulate with a uniform density needs an explicit --region"),
+])
+def test_simulate_significance_without_its_inputs_exits_2(capsys, drop, message):
+    argv = SIMULATE["significance"]
+    k = argv.index(drop)
+    assert run([*argv[:k], *argv[k + 2:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["precursor", *_base_args(), "--predictions", PRED, "--threshold", "nan"], "threshold"),
+    (["precursor", *_base_args(), "--predictions", PRED, "--threshold", "inf"], "threshold"),
+    (["filter-aftershocks", *_base_args(), "--time-window", "nan"], "time_window"),
+    (["filter-aftershocks", *_base_args(), "--distance-window", "inf"], "distance_window"),
+    ([*SIMULATE["significance"], "--clustering", "nan"], "clustering fraction"),
+    (["significance", "--earthquakes", EQ, "--region", REGION, "--predictions", PRED,
+      "--record-start", "nan"], "record_start"),
+    (["significance", *_base_args(), "--predictions", PRED, "--record-end", "inf"],
+     "record_end"),
+])
+def test_non_finite_numbers_exit_2_naming_the_field(tmp_path, capsys, argv, field):
+    """The last of a repeated flag wins, so the flag overrides the base.
+    Every file the command would write goes to ``tmp_path``, which stays empty."""
+    outputs = ["--out", str(tmp_path / "report.json")]
+    table = {"filter-aftershocks": "--filtered-out", "simulate": "--samples-out"}
+    if argv[0] in table:
+        outputs += [table[argv[0]], str(tmp_path / "table.csv")]
+    code = run([*argv, *outputs])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert field in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hopeless_follower_spread_exits_2_at_once(capsys):
@@ -320,6 +357,31 @@ def test_significance_and_simulate_name_the_prediction_whose_region_leaves_the_r
         assert run([*argv, *preds]) == 2
         assert capsys.readouterr().err \
             == "error: prediction 1: alarm region is not inside the study region\n"
+
+
+def test_a_model_file_sets_the_study_region(tmp_path, capsys):
+    """Without --region the model's region is the study region, so the
+    report is the one for that explicit --region; a --region that is not
+    the model's region is refused, by simulate too."""
+    model, wide = tmp_path / "model.json", tmp_path / "wide.json"
+    assert run(["fit-density", *_base_args(), "--kind", "parametric",
+                "--model-out", str(model)]) == 0
+    assert run(["fit-density", "--earthquakes", EQ, "--region=-100,300,-100,300",
+                "--kind", "uniform", "--model-out", str(wide)]) == 0
+    capsys.readouterr()
+    scored = ["significance", "--earthquakes", EQ, "--record-end", "1000",
+              "--predictions", PRED, "--exact", "--density"]
+    assert run([*scored, str(model), "--region", REGION]) == 0
+    explicit = capsys.readouterr().out
+    assert run([*scored, str(model)]) == 0
+    assert capsys.readouterr().out == explicit
+    simulate = [*SIMULATE["significance"][:-2], "--replicates", "2", "--density", str(wide)]
+    for argv in ([*scored, str(wide), "--region", REGION], [*simulate, "--region", REGION]):
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --region {REGION} is not the region of the density model {wide}, "
+            "Rectangle(x_min=-100.0, x_max=300.0, y_min=-100.0, y_max=300.0)\n")
+    assert run(simulate) == 0
 
 
 def test_enhancement_rejects_window_outside_record(tmp_path, capsys):

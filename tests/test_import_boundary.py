@@ -2,8 +2,9 @@
 interpreter: importing the package loads none, the commands that compute
 nothing with scipy load none, and only the parametric fit loads
 ``scipy.optimize``.  In every run a forked simulation worker refuses a
-task that imports a part of scipy its parent had not loaded, so the
-deferred imports never run first in a worker."""
+task that imports any module its parent had not loaded, so neither the
+deferred scipy imports nor numpy's lazy ``numpy.random`` run first in a
+worker."""
 
 import json
 import os
@@ -34,14 +35,14 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 def checked(task, first, stop, conn):
-    loaded = scipy_modules()
+    loaded = set(sys.modules)
 
-    def importing_no_scipy(a, b):
+    def importing_nothing(a, b):
         result = task(a, b)
-        if scipy_modules() != loaded:
-            raise mc.QuakevalError(f"a worker imported {scipy_modules()}, not {loaded}")
+        if set(sys.modules) - loaded:
+            raise mc.QuakevalError(f"a worker imported {sorted(set(sys.modules) - loaded)}")
         return result
-    range_worker(importing_no_scipy, first, stop, conn)
+    range_worker(importing_nothing, first, stop, conn)
 
 mc._range_worker = checked
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
@@ -70,6 +71,9 @@ def _commands(name: str, out: Path) -> list:
         "precursor": [["precursor", *CATALOG, *PREDICTIONS]],
         "simulate-delays": [[*simulate, "--mode", "delays", "--n-events", "50",
                              "--m-signals", "5", "--suppression-window", "5"]],
+        "simulate-significance-uniform": [[*simulate, "--mode", "significance",
+                                           "--n-events", "100", "--region", "0,200,0,200",
+                                           *PREDICTIONS]],
         "significance": [["significance", *CATALOG, *PREDICTIONS, "--exact"]],
         "enhancement": [["enhancement", *CATALOG, *PREDICTIONS]],
         # the kernel model's masses need scipy.special before the fork
@@ -87,7 +91,8 @@ def test_importing_the_package_loads_no_scipy():
     assert _scipy_modules() == []
 
 
-@pytest.mark.parametrize("name", ["filter-aftershocks", "precursor", "simulate-delays"])
+@pytest.mark.parametrize("name", ["filter-aftershocks", "precursor", "simulate-delays",
+                                  "simulate-significance-uniform"])
 def test_commands_that_compute_without_scipy_load_none(name, tmp_path):
     assert _scipy_modules(*_commands(name, tmp_path)) == []
 

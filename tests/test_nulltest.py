@@ -269,6 +269,7 @@ def test_chance_probabilities_integrate_each_region_once():
     class CountingDensity:
         def __init__(self, density):
             self.density, self.calls = density, []
+            self.region = density.region
 
         def integrate(self, region):
             self.calls.append(region)
@@ -305,6 +306,20 @@ def test_chance_probabilities_aggregates():
     assert cp.m == 2
     assert cp.mu == pytest.approx(cp.probabilities.sum())
     assert cp.sigma == pytest.approx(np.sqrt(cp.sigma2))
+
+
+def test_chance_probabilities_refuse_a_density_over_another_region():
+    """The null spreads the catalog's events over the density's region, so
+    a model over a larger or smaller square would misstate every chance."""
+    cat = _tiny_catalog()
+    preds = [Prediction(0.0, 0.0, 20.0, Rectangle(0, 100, 0, 100), 5.0)]
+    for other in (Rectangle(-100.0, 300.0, -100.0, 300.0), Rectangle(0.0, 150.0, 0.0, 200.0)):
+        with pytest.raises(ValidationError) as info:
+            chance_probabilities(preds, ParametricDensity.uniform(other), cat)
+        assert str(info.value) == (f"the density's region {other!r} is not the catalog's "
+                                   f"study region {REGION!r}")
+        with pytest.raises(ValidationError, match="is not the catalog's study region"):
+            significance_report(cat, preds, ParametricDensity.uniform(other))
 
 
 def test_overlap_fraction_hand_cases():

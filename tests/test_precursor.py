@@ -205,8 +205,9 @@ def test_postcursor_flag_for_long_delays():
 
 def test_precursor_threshold_and_inputs_validated():
     obs = [(0.0, 10.0)]
-    with pytest.raises(ValidationError):
-        precursor_test(obs, 5, SPAN, threshold=0.0)
+    for threshold in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="threshold must be positive and finite"):
+            precursor_test(obs, 5, SPAN, threshold=threshold)
     with pytest.raises(ValidationError):
         precursor_test([], 5, SPAN)
     # every observation at the record end leaves no variance to test against

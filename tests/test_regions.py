@@ -164,7 +164,7 @@ def test_rectangle_gaussian_mass_matches_ndtr_product():
     means = _polygon_probes([[100, 200], [400, 200], [400, 350], [100, 350]])
     for sx in SDS:
         for sy in SDS:
-            got = RECT.gaussian_mass(means, np.diag([sx * sx, sy * sy]))
+            got = gaussian_masses([RECT], means, np.diag([sx * sx, sy * sy]))[0]
             px = ndtr((RECT.x_max - means[:, 0]) / sx) - ndtr((RECT.x_min - means[:, 0]) / sx)
             py = ndtr((RECT.y_max - means[:, 1]) / sy) - ndtr((RECT.y_min - means[:, 1]) / sy)
             assert np.abs(got - px * py).max() <= 1e-12, (sx, sy)
@@ -177,7 +177,7 @@ def test_circle_gaussian_mass_matches_chndtr():
                       [500.0 + rim, 500.0 - rim], [500.0, 800.5], [500.0, 199.0]])
     dist2 = (means[:, 0] - DISC.cx) ** 2 + (means[:, 1] - DISC.cy) ** 2
     for s in SDS:
-        got = DISC.gaussian_mass(means, np.eye(2) * s * s)
+        got = gaussian_masses([DISC], means, np.eye(2) * s * s)[0]
         want = chndtr((DISC.radius / s) ** 2, 2, dist2 / s ** 2)
         assert np.abs(got - want).max() <= 1e-12, s
 
@@ -186,8 +186,8 @@ def test_polygon_gaussian_mass_matches_whitened_dblquad():
     means = _polygon_probes(POLY.vertices)
     repeated = ConvexPolygon(np.insert(POLY.vertices, 1, POLY.vertices[1], axis=0))
     for cov in _covariances():
-        got = POLY.gaussian_mass(means, cov)
-        assert np.abs(repeated.gaussian_mass(means, cov) - got).max() <= 1e-15
+        got = gaussian_masses([POLY], means, cov)[0]
+        assert np.abs(gaussian_masses([repeated], means, cov)[0] - got).max() <= 1e-15
         for mean, mass in zip(means, got):
             assert mass == pytest.approx(_whitened_polygon_mass(POLY.vertices, mean, cov),
                                          abs=1e-10), (cov.tolist(), mean)
@@ -197,7 +197,7 @@ def test_correlated_rectangle_matches_whitened_dblquad():
     corners = [[100, 200], [400, 200], [400, 350], [100, 350]]
     means = _polygon_probes(corners)
     for cov in _covariances():
-        got = RECT.gaussian_mass(means, cov)
+        got = gaussian_masses([RECT], means, cov)[0]
         for mean, mass in zip(means, got):
             assert mass == pytest.approx(_whitened_polygon_mass(corners, mean, cov),
                                          abs=1e-10), (cov.tolist(), mean)
@@ -208,7 +208,7 @@ def test_correlated_circle_matches_whitened_dblquad():
     means = np.array([[500.0, 500.0], [610.0, 430.0], [500.0 + rim, 500.0 + rim],
                       [500.0 - rim, 500.0 + rim], [800.5, 500.0]])
     for cov in _covariances():
-        got = DISC.gaussian_mass(means, cov)
+        got = gaussian_masses([DISC], means, cov)[0]
         for mean, mass in zip(means, got):
             assert mass == pytest.approx(_whitened_circle_mass(DISC, mean, cov),
                                          abs=1e-10), (cov.tolist(), mean)
@@ -277,7 +277,7 @@ def test_gaussian_masses_batch_matches_oracles_in_input_order():
     got = gaussian_masses(MIXED, means, np.eye(2) * sd * sd)
     assert got.shape == (len(MIXED), len(means))
     for region, row in zip(MIXED, got):
-        assert np.array_equal(row, region.gaussian_mass(means, np.eye(2) * sd * sd))
+        assert np.array_equal(row, gaussian_masses([region], means, np.eye(2) * sd * sd)[0])
         for mean, mass in zip(means, row):
             assert mass == pytest.approx(_isotropic_mass(region, mean, sd),
                                          abs=_tolerance(region)), (region, mean)
@@ -334,7 +334,7 @@ def test_masses_on_a_score_sized_circle_set_match_the_per_circle_loop():
     loop = np.array([d.integrate(c) for c in circles])
     assert np.abs(d.masses(circles) - loop).max() <= 1e-15
     many = gaussian_masses(circles, [[620.0, 380.0]], cov)[:, 0]
-    one = np.array([c.gaussian_mass([[620.0, 380.0]], cov)[0] for c in circles])
+    one = np.array([gaussian_masses([c], [[620.0, 380.0]], cov)[0, 0] for c in circles])
     assert np.abs(many - one).max() <= 1e-15
 
 

@@ -10,6 +10,7 @@ from quakeval import (Circle, ConvexPolygon, FitError, KernelDensity,
                       ValidationError, fit_kde, fit_parametric, load_density,
                       save_density)
 from quakeval import spatial
+from quakeval.regions import gaussian_masses
 
 REGION = Rectangle(0.0, 200.0, 0.0, 200.0)
 Q = np.array([[0.004, 0.001], [0.001, 0.003]])
@@ -137,6 +138,9 @@ def test_kde_degenerate_inputs():
     flat = np.column_stack([np.full(20, 50.0), np.linspace(10, 90, 20)])
     with pytest.raises(ValidationError, match="spread"):
         fit_kde(flat, REGION)
+    with pytest.raises(ValidationError) as info:
+        KernelDensity([[50.0, 50.0], [250.0, 10.0], [300.0, 10.0]], np.eye(2), REGION)
+    assert str(info.value) == "point 1: kernel point (250, 10) lies outside the model's region"
 
 
 def test_kde_sampling_inside_region():
@@ -260,7 +264,7 @@ def _reference_fit(pts, region):
             return np.inf
         centre, q, _ = unpack(theta)
         try:
-            gauss = region.gaussian_mass(centre[None], np.linalg.inv(2.0 * q))[0]
+            gauss = gaussian_masses([region], centre[None], np.linalg.inv(2.0 * q))[0, 0]
         except np.linalg.LinAlgError:
             return np.inf
         bump_mass = math.pi / math.sqrt(np.linalg.det(q)) * gauss
