@@ -1,0 +1,53 @@
+"""Seeded simulations against reports and samples committed byte for byte.
+
+Each run below was made once and its output kept under tests/data/golden/;
+any change to a replicate's draws, their order or the arithmetic that
+scores them shows up here as a byte difference.  The runs name their
+inputs by paths relative to the repository root, so the reports' config
+paths match too.  To regenerate after an intended change of output, run
+each argv with ``quakeval`` from the repository root, with ``--out`` (and
+``--samples-out``) pointing at the golden files.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from quakeval import mc
+from quakeval.cli import run
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path("tests/data/golden")
+
+_SIG = ["simulate", "--mode", "significance", "--replicates", "200", "--n-events", "200",
+        "--span", "1000", "--predictions", "tests/data/predictions.csv", "--seed", "7"]
+_DELAYS = ["simulate", "--mode", "delays", "--replicates", "2000", "--n-events", "100",
+           "--span", "1000", "--m-signals", "50", "--seed", "7"]
+
+# name -> (argv, whether the run writes a samples CSV)
+RUNS = {
+    "significance-uniform": ([*_SIG, "--region", "0,200,0,200"], True),
+    "significance-parametric": ([*_SIG, "--density", str(GOLDEN / "parametric.json")], True),
+    "significance-clustered": ([*_SIG, "--region", "0,200,0,200", "--clustering", "0.3",
+                                "--exclude-injected"], True),
+    "delays": (_DELAYS, False),
+    "delays-suppressed": ([*_DELAYS, "--suppression-window", "5"], False),
+    "delays-shared": ([*_DELAYS, "--shared-catalog"], False),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", list(RUNS))
+def test_simulation_matches_golden_bytes(monkeypatch, tmp_path, name, workers):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(mc, "_worker_count", lambda: workers)
+    argv, samples = RUNS[name]
+    out = tmp_path / "report.json"
+    extra = ["--out", str(out)]
+    if samples:
+        extra += ["--samples-out", str(tmp_path / "samples.csv")]
+    assert run([*argv, *extra]) == 0
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+    if samples:
+        assert (tmp_path / "samples.csv").read_bytes() \
+            == (GOLDEN / f"{name}.csv").read_bytes()
