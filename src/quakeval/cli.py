@@ -195,7 +195,26 @@ def _cmd_precursor(args) -> dict:
             "origin": data.origin, "n_censored": int(data.censored.sum())}
 
 
+# The flags of one ``simulate`` mode, by argparse attribute, with the value
+# each takes when not given.  They parse to None when not given, so that
+# a flag of the other mode is refused only when given.
+_SIMULATE_MODE_FLAGS = {
+    "significance": {"predictions": None, "polygons": None, "density": "uniform",
+                     "region": None, "clustering": 0.0, "cluster_decay": 10.0,
+                     "cluster_spread": 5.0, "exclude_injected": False,
+                     "samples_out": None},
+    "delays": {"m_signals": None, "suppression_window": None, "shared_catalog": False},
+}
+
+
 def _cmd_simulate(args) -> dict:
+    for mode, flags in _SIMULATE_MODE_FLAGS.items():
+        for dest, default in flags.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif mode != args.mode:
+                raise ValidationError(f"--{dest.replace('_', '-')} is a flag of simulate "
+                                      f"--mode {mode}, not of --mode {args.mode}")
     config = {"mode": args.mode, "seed": args.seed, "replicates": args.replicates}
     if args.mode == "delays":
         if args.m_signals is None:
@@ -306,29 +325,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-events", type=int, required=True)
     p.add_argument("--span", type=float, required=True,
                    help="record length in days")
-    p.add_argument("--predictions", default=None)
-    p.add_argument("--polygons", default=None)
-    p.add_argument("--density", default="uniform",
-                   help="model JSON path or 'uniform'")
-    p.add_argument("--region", default=None,
-                   help="study rectangle for the uniform density; a --density "
-                        "model file brings its own")
-    p.add_argument("--clustering", type=float, default=0.0,
-                   help="fraction of events converted to dependent followers")
-    p.add_argument("--cluster-decay", type=float, default=10.0,
-                   help="follower lag scale, days")
-    p.add_argument("--cluster-spread", type=float, default=5.0,
-                   help="follower offset sigma, km")
-    p.add_argument("--exclude-injected", action="store_true",
-                   help="do not let followers count as successes")
-    p.add_argument("--m-signals", type=int, default=None,
-                   help="delays mode: signals per replicate")
-    p.add_argument("--suppression-window", type=float, default=None,
-                   help="delays mode: alarm deadtime after each event, days")
-    p.add_argument("--shared-catalog", action="store_true",
-                   help="delays mode: one shared record per replicate")
-    p.add_argument("--samples-out", default=None,
+    # Mode flags parse to None when not given; _cmd_simulate fills in the
+    # defaults the help names and refuses the other mode's flags.
+    p.add_argument("--predictions", help="significance mode: prediction CSV")
+    p.add_argument("--polygons", help="significance mode: polygon JSON sidecar")
+    p.add_argument("--density",
+                   help="significance mode: model JSON path or 'uniform' (default)")
+    p.add_argument("--region",
+                   help="significance mode: study rectangle for the uniform density; "
+                        "a --density model file brings its own")
+    p.add_argument("--clustering", type=float,
+                   help="significance mode: fraction of events converted to dependent "
+                        "followers (default 0)")
+    p.add_argument("--cluster-decay", type=float,
+                   help="significance mode: follower lag scale, days (default 10)")
+    p.add_argument("--cluster-spread", type=float,
+                   help="significance mode: follower offset sigma, km (default 5)")
+    p.add_argument("--exclude-injected", action="store_true", default=None,
+                   help="significance mode: do not let followers count as successes")
+    p.add_argument("--samples-out",
                    help="significance mode: per-replicate CSV")
+    p.add_argument("--m-signals", type=int,
+                   help="delays mode: signals per replicate")
+    p.add_argument("--suppression-window", type=float,
+                   help="delays mode: alarm deadtime after each event, days")
+    p.add_argument("--shared-catalog", action="store_true", default=None,
+                   help="delays mode: one shared record per replicate")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
 

@@ -11,8 +11,16 @@ breaks the independence the analytic null assumes in a controlled way.
 Reproducibility: every replicate r gets its own counter-based stream,
 ``Philox(SeedSequence(seed, spawn_key=(r,)))``, so results do not
 depend on execution order and any single replicate can be regenerated
-in isolation.  The delay-moment helper uses one sequential stream
-(replicates there are rows of a matrix, not catalogs).
+in isolation (``child_rng``).  Building a ``SeedSequence`` and a
+``Philox`` per replicate would cost more than a small replicate's
+draws, so a range of replicates derives its Philox keys in bulk: numpy's
+``SeedSequence`` hash-mix, run in exact uint32 arithmetic over a chunk
+of replicate indices at once, gives keys identical to those
+``SeedSequence(seed, spawn_key=(r,))`` generates.  One ``Philox`` is
+then reset to each replicate's key, with counter 0 and an empty buffer,
+the state a fresh generator starts in, so every draw is the one the
+fresh generator would make.  The delay-moment helper uses one
+sequential stream (replicates there are rows of a matrix, not catalogs).
 
 Replicates run in contiguous ranges, one range per CPU this process
 may run on, each in a worker process forked for it; the ranges'
@@ -32,7 +40,8 @@ evaluation does not touch them.  Synthetic catalogs stay in draw order,
 with no time sort, since ``count_hits`` sorts each alarm group's
 qualifying times itself.  ``null_zscores`` fills a block of replicates
 with their draws and then scores the whole block with one set of array
-operations, bit for bit as a loop over replicates would.
+operations, bit for bit as a loop over replicates would; its records
+stay in draw order too, except where suppression needs them sorted.
 
 The delay-law simulations draw N - 1 event times for law parameter N:
 conditioning on a signal inside a record of N uniform events leaves
@@ -62,10 +71,104 @@ INJECTED_MAGNITUDE = 4.0
 _REDRAW_ROUNDS = 100_000
 
 
+# numpy's SeedSequence hash-mix constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_WORD = 0xFFFFFFFF
+# Replicates whose stream keys are derived in one pass: 16 bytes of key
+# each.  2**32 is a multiple of it, so an aligned chunk of replicate
+# indices never mixes indices of different 32-bit word counts.
+_KEY_CHUNK = 4096
+
+
+def _words(value) -> list:
+    """The 32-bit words of a non-negative integer, least significant first,
+    as ``SeedSequence`` splits its entropy (0 is one word)."""
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _WORD]
+    while value > _WORD:
+        value >>= 32
+        words.append(value & _WORD)
+    return words
+
+
+def _philox_keys(seed: int, first: int, stop: int) -> np.ndarray:
+    """Keys of ``Philox(SeedSequence(seed, spawn_key=(r,)))`` for
+    r = first, ..., stop - 1, shape (stop - first, 2) uint64, with all
+    indices in one aligned ``_KEY_CHUNK``.
+
+    This is ``SeedSequence``'s pool mixing and ``generate_state(2,
+    np.uint64)``, run on one uint32 column per entropy word, one row per
+    replicate; uint32 array arithmetic wraps modulo 2**32 as the C code's
+    does.  Only the low word of r differs between the rows.
+    """
+    n = stop - first
+    run = _words(seed)
+    run += [0] * (4 - len(run))  # a spawned sequence pads its entropy to the pool
+    low = np.arange(first & _WORD, (first & _WORD) + n, dtype=np.uint32)
+    entropy = [np.full(n, w, np.uint32) for w in run] \
+        + [low] + [np.full(n, w, np.uint32) for w in _words(first)[1:]]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _WORD
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> np.uint32(16)
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((n, 4), dtype="<u4")
+    const = _INIT_B
+    for i in range(4):
+        value = pool[i] ^ np.uint32(const)
+        const = const * _MULT_B & _WORD
+        value = value * np.uint32(const)
+        state[:, i] = value ^ value >> np.uint32(16)
+    return state.view("<u8").astype(np.uint64)
+
+
+def _replicate_streams(seed: int, first: int, stop: int):
+    """Replicate r's stream for r = first, ..., stop - 1, in order.
+
+    Each is one ``Generator`` on one ``Philox``, reset to the key of
+    ``Philox(SeedSequence(seed, spawn_key=(r,)))`` with counter 0 and an
+    empty buffer, the state such a fresh generator starts in.  The same
+    object comes back every time, so a replicate's draws must be made
+    before the next replicate's stream is asked for.  Keys are derived a
+    ``_KEY_CHUNK`` at a time.
+    """
+    bit_generator = np.random.Philox(key=0)  # every draw follows a reset
+    rng = np.random.Generator(bit_generator)
+    zeros = np.zeros(4, dtype=np.uint64)
+    lo = first
+    while lo < stop:
+        hi = min(stop, (lo // _KEY_CHUNK + 1) * _KEY_CHUNK)
+        for key in _philox_keys(seed, lo, hi):
+            bit_generator.state = {
+                "bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+            yield rng
+        lo = hi
+
+
 def child_rng(seed: int, replicate: int) -> np.random.Generator:
     """Independent per-replicate stream; order of use is irrelevant."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate,))))
+    return next(_replicate_streams(seed, replicate, replicate + 1))
 
 
 def _check_seed(seed) -> None:
@@ -368,8 +471,7 @@ def empirical_significance(model: NullModel, predictions: Sequence[Prediction],
 
     def success_counts(first: int, stop: int) -> np.ndarray:
         counts = np.empty(stop - first, dtype=int)
-        for i in range(stop - first):
-            rng = child_rng(model.seed, first + i)
+        for i, rng in enumerate(_replicate_streams(model.seed, first, stop)):
             times, xy, mags, injected = _simulate_arrays(model, rng)
             if exclude_injected and injected.any():
                 keep = ~injected
@@ -468,6 +570,23 @@ def _suppressed_times(ev: np.ndarray, u: np.ndarray, span: float,
     return start + (v - prior)
 
 
+def _next_event_waits(ev: np.ndarray, t: np.ndarray, span: float) -> np.ndarray:
+    """Wait from each signal to the next event, span - t when none follows.
+
+    ``ev`` holds a block of records in any order, shape (block, rows,
+    n - 1), and ``t`` the signal times, shape (block, m).  The wait is
+    the smallest difference e - t over the records e at or after the
+    signal, the same float as (next event) - t, since rounding a
+    difference keeps its order.  Those differences are exactly the ones
+    without a sign bit, and read as unsigned integers the bit patterns of
+    doubles order the non-negative ones as numbers and put every negative
+    one above them; so one integer minimum per signal finds the wait, and
+    a minimum with the sign bit set means no event follows.
+    """
+    wait = (ev - t[..., None]).view(np.uint64).min(axis=2)
+    return np.where(wait < 1 << 63, wait.view(np.float64), span - t)
+
+
 # A block of delay replicates holds about this many (signal, event) pairs,
 # at least one replicate's worth.  Blocks four times as large scored the
 # plain `calibrate` delays about 15 % faster but raised peak memory 1.3 MB.
@@ -493,7 +612,8 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
     before an upcoming event, which drags z negative.
 
     Replicate r draws its event records, then its m signal uniforms, from
-    ``child_rng(seed, r)``; replicates are then scored a block at a time.
+    its stream (see the module docstring); replicates are then scored a
+    block at a time.
     """
     _check_seed(seed)
     if m < 1:
@@ -509,26 +629,27 @@ def null_zscores(m: int, n_events: int, span: float, replicates: int,
 
     cols = n_events - 1
     n_rows = 1 if shared_catalog else m
-    rows = np.arange(n_rows)  # broadcasts against the m signals
 
     def zscores(first: int, stop: int) -> np.ndarray:
         block = min(stop - first, max(1, _BLOCK_DOUBLES // (m * cols)))
         ev_buf = np.empty((block, n_rows, cols))
         u_buf = np.empty((block, m))
         zs = np.empty(stop - first)
+        streams = _replicate_streams(seed, first, stop)
         for lo in range(0, stop - first, block):
             n_block = min(block, stop - first - lo)
             ev, u = ev_buf[:n_block], u_buf[:n_block]
             for i in range(n_block):
-                rng = child_rng(seed, first + lo + i)
+                rng = next(streams)
                 rng.random(out=ev[i])
                 rng.random(out=u[i])
             ev *= span
-            ev.sort(axis=2)
-            t = u * span if delta is None else _suppressed_times(ev, u, span, delta)
-            k = (ev < t[..., None]).sum(axis=2)
-            nxt = ev[np.arange(n_block)[:, None], rows, np.minimum(k, cols - 1)]
-            tau = np.where(k < cols, nxt - t, span - t)
+            if delta is None:
+                t = u * span
+            else:
+                ev.sort(axis=2)
+                t = _suppressed_times(ev, u, span, delta)
+            tau = _next_event_waits(ev, t, span)
             e_y = _tau_mean(t, n_events, span).sum(axis=1)
             var_y = _tau_var(t, n_events, span).sum(axis=1)
             zs[lo:lo + n_block] = (tau.sum(axis=1) - e_y) / np.sqrt(var_y)

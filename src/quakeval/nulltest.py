@@ -25,6 +25,7 @@ against the point estimate c_hat = N_M / mu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -167,13 +168,19 @@ def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
     threshold.  ``bounds``, when given, holds for each group the start
     and stop of the slice of the event columns outside which no event
     falls in any of its windows; only that slice is tested against the
-    group's region.  Without it every event is tested.
+    group's region.  Without it every event is tested.  A group whose
+    threshold is at or below the smallest magnitude passed in excludes no
+    event by magnitude, so its magnitudes are not tested.
     """
+    floor = mags.min() if len(mags) else math.inf
     hits = 0
     for g, (region, min_mag, starts, ends) in enumerate(groups):
         sl = slice(None) if bounds is None else slice(bounds[0][g], bounds[1][g])
-        t, x, y, m = times[sl], xs[sl], ys[sl], mags[sl]
-        ev = np.sort(t[(m >= min_mag) & region.contains(x, y)])
+        t, x, y = times[sl], xs[sl], ys[sl]
+        keep = region.contains(x, y)
+        if not min_mag <= floor:  # also true when a magnitude is NaN
+            keep &= mags[sl] >= min_mag
+        ev = np.sort(t[keep])
         lo = np.searchsorted(ev, starts, side="left")
         hi = np.searchsorted(ev, ends, side="right")
         hits += int(np.count_nonzero(hi > lo))

@@ -27,6 +27,7 @@ sibling CSV (``points_ref``) rather than embedding them.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -185,6 +186,13 @@ class ParametricDensity(_Density):
     def log_likelihood(self, points) -> float:
         return float(np.sum(np.log(np.clip(self.evaluate(points), 1e-300, None))))
 
+    @functools.cached_property
+    def _bump_factor(self) -> np.ndarray:
+        """L^T for the Cholesky factor L of the bump's covariance inv(2Q):
+        bump draws are x_c + z @ L^T.  Computed on the first bump draw, so
+        densities that are only evaluated never pay for it."""
+        return np.linalg.cholesky(np.linalg.inv(2.0 * self.q_matrix)).T
+
     def sample_rng(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` points using an existing generator."""
         out = np.empty((count, 2))
@@ -195,11 +203,11 @@ class ParametricDensity(_Density):
         if n_unif:
             out[np.flatnonzero(~comp_bump)] = self.region.sample_uniform(n_unif, rng)
         if n_bump:
-            chol = np.linalg.cholesky(np.linalg.inv(2.0 * self.q_matrix))
+            factor = self._bump_factor
 
             def propose(remaining: int) -> np.ndarray:
                 z = rng.standard_normal((max(64, 2 * remaining), 2))
-                return self.x_c + z @ chol.T
+                return self.x_c + z @ factor
 
             out[bump_idx] = sample_inside(self.region, n_bump, propose)
         return out

@@ -212,6 +212,30 @@ def test_simulate_significance_without_its_inputs_exits_2(capsys, drop, message)
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("mode, extra", [
+    ("delays", ["--predictions", "nosuch.csv"]),
+    ("delays", ["--polygons", "nosuch.json"]),
+    ("delays", ["--density", "nosuchfile.json"]),
+    ("delays", ["--region", "1,2"]),
+    ("delays", ["--clustering", "nan"]),
+    ("delays", ["--cluster-decay", "10"]),
+    ("delays", ["--cluster-spread", "5"]),
+    ("delays", ["--exclude-injected"]),
+    ("delays", ["--samples-out", "samples.csv"]),
+    ("significance", ["--m-signals", "-4"]),
+    ("significance", ["--suppression-window", "nan"]),
+    ("significance", ["--shared-catalog"]),
+])
+def test_simulate_refuses_the_other_modes_flags(tmp_path, capsys, mode, extra):
+    """Even a flag given its own default is refused, and nothing is written."""
+    other = "significance" if mode == "delays" else "delays"
+    out = tmp_path / "report.json"
+    assert run([*SIMULATE[mode], *extra, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: {extra[0]} is a flag of simulate "
+                                       f"--mode {other}, not of --mode {mode}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (["precursor", *_base_args(), "--predictions", PRED, "--threshold", "nan"], "threshold"),
     (["precursor", *_base_args(), "--predictions", PRED, "--threshold", "inf"], "threshold"),

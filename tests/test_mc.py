@@ -33,6 +33,50 @@ def test_child_rng_reproducible_and_order_free():
     assert not np.array_equal(a, child_rng(20, 4).random(5))
 
 
+def _seed_sequence_rng(seed, r):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(r,))))
+
+
+STREAM_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 200, np.int64(123)]
+# Ranges from 0, from elsewhere, across a key chunk and across 2**32, where a
+# replicate index gains a second 32-bit word.
+STREAM_RANGES = [(0, 7), (5, 9), (mc._KEY_CHUNK - 3, mc._KEY_CHUNK + 4),
+                 (2 ** 32 - 2, 2 ** 32 + 2)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+@pytest.mark.parametrize("first, stop", STREAM_RANGES)
+def test_stream_keys_equal_seed_sequence(seed, first, stop):
+    want = [np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(2, np.uint64)
+            for r in range(first, stop)]
+    keys = [rng.bit_generator.state["state"]["key"].copy()
+            for rng in mc._replicate_streams(seed, first, stop)]
+    assert np.array_equal(keys, want)
+    assert np.array_equal(mc._philox_keys(seed, first, first + 1), want[:1])
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
+@pytest.mark.parametrize("first, stop", STREAM_RANGES)
+def test_reset_stream_draws_as_a_fresh_generator(seed, first, stop):
+    """Each replicate's stream is reset after the last one drew from it."""
+    for r, rng in zip(range(first, stop), mc._replicate_streams(seed, first, stop)):
+        fresh = _seed_sequence_rng(seed, r)
+        assert np.array_equal(rng.random(5), fresh.random(5))
+        assert np.array_equal(rng.standard_normal((3, 2)), fresh.standard_normal((3, 2)))
+        # 32-bit draws leave half a 64-bit word buffered for the next replicate
+        assert np.array_equal(rng.integers(0, 10, 7, dtype=np.int32),
+                              fresh.integers(0, 10, 7, dtype=np.int32))
+        assert np.array_equal(rng.integers(0, 2 ** 40, 3), fresh.integers(0, 2 ** 40, 3))
+        assert np.array_equal(rng.random(2), fresh.random(2))
+    assert np.array_equal(child_rng(seed, first).random(4),
+                          _seed_sequence_rng(seed, first).random(4))
+
+
+def test_negative_stream_seed_is_refused():
+    with pytest.raises(ValueError):
+        child_rng(-1, 0)
+
+
 def test_simulate_null_catalog_basic():
     model = NullModel(200, 500.0, UNIFORM, seed=3)
     cat = simulate_null_catalog(model, replicate=0)
@@ -488,14 +532,15 @@ def _stall():
 
 
 def _fail_at_replicate(monkeypatch, replicate, fail):
-    real = mc.child_rng
+    real = mc._replicate_streams
 
-    def child_rng_or_fail(seed, r):
-        if r == replicate:
-            fail()
-        return real(seed, r)
+    def streams_or_fail(seed, first, stop):
+        for r, rng in zip(range(first, stop), real(seed, first, stop)):
+            if r == replicate:
+                fail()
+            yield rng
 
-    monkeypatch.setattr(mc, "child_rng", child_rng_or_fail)
+    monkeypatch.setattr(mc, "_replicate_streams", streams_or_fail)
 
 
 def test_worker_error_reaches_caller_as_in_process(monkeypatch):

@@ -265,6 +265,21 @@ def test_count_successes_matches_loop_reference():
         assert count_successes(cat, [p]) == hit
 
 
+@pytest.mark.parametrize("mags", [[5.0, 5.0, 5.0], [4.5, 5.0, 5.5], [5.0, np.nan, 5.5]],
+                         ids=["all-equal", "spread", "nan"])
+def test_count_hits_tests_magnitudes_only_where_they_exclude(mags):
+    """Thresholds at, below and above the smallest magnitude; a NaN
+    magnitude never qualifies."""
+    t, xs, ys = np.array([10.0, 20.0, 30.0]), np.full(3, 50.0), np.full(3, 50.0)
+    mags = np.array(mags)
+    preds = [Prediction(0.0, start, start + 5.0, REGION, threshold)
+             for start in (8.0, 18.0, 28.0) for threshold in (4.0, 4.5, 5.0, 5.25, 6.0)]
+    expected = sum(bool(((t >= p.window_start) & (t <= p.window_end)
+                         & (mags >= p.min_magnitude)).any()) for p in preds)
+    assert count_hits(alarm_groups(preds), t, xs, ys, mags) == expected
+    assert count_hits(alarm_groups(preds), t[:0], xs[:0], ys[:0], mags[:0]) == 0
+
+
 def test_chance_probabilities_integrate_each_region_once():
     class CountingDensity:
         def __init__(self, density):
