@@ -52,7 +52,6 @@ def test_stream_keys_equal_seed_sequence(seed, first, stop):
     keys = [rng.bit_generator.state["state"]["key"].copy()
             for rng in mc._replicate_streams(seed, first, stop)]
     assert np.array_equal(keys, want)
-    assert np.array_equal(mc._philox_keys(seed, first, first + 1), want[:1])
 
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS, ids=str)
