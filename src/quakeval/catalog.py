@@ -18,6 +18,16 @@ Every CSV the package reads or writes follows the same rules:
 * Floats are written as their shortest round-trip ``repr``, so
   ``parse(serialize(catalog))`` reproduces the catalog exactly.
 
+Data rows are converted in blocks of ``_ROW_BLOCK`` lines by numpy's
+text reader, which parses numbers with the routine ``float`` uses.  A
+block is kept only when it holds one row of finite numbers per line,
+in range, with no quote, NUL or over-long line: a block the row reader
+would read without a fault, to the same values.  From the first block
+that is not kept, the csv module's row reader reads the rest of the
+file as it always has, so it is the row reader that names every fault,
+with the same message and row.  Both fill one pair of arrays that
+grows in place.
+
 Earthquake CSV: header ``time,x,y,magnitude``; times in days since the
 record start, positions in km.  The reader rejects a row with the
 wrong field count, a field that is not a finite number and a negative
@@ -45,13 +55,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from collections import abc
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -296,36 +307,66 @@ def _parse_float(text: str, row: int, column: str) -> float:
     return value
 
 
-def _read_floats(table: Iterator[tuple[int, list[str]]], header: Sequence[str],
-                 nonnegative: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray]:
-    """The row numbers and an (n, len(header)) float array of the rows
-    ``_read_table`` streams.  Every cell must be a finite number, >= 0 in
-    the ``nonnegative`` columns.  ``float`` maps ``_ROW_BLOCK`` rows of
+def _read_floats(table: "_Table", header: Sequence[str], nonnegative: Sequence[str] = (),
+                 checked_rows: Callable[[Iterator], Iterator] | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The row numbers and an (n, len(header)) float array of the data
+    rows of ``table``.  Every cell must be a finite number, >= 0 in the
+    ``nonnegative`` columns.
+
+    The bulk pass converts blocks of ``_ROW_BLOCK`` lines with numpy's
+    text reader, and keeps a block only where ``_bulk_block`` shows that
+    the row reader would give the same rows without a fault.  From the
+    first block it declines, the row reader reads the rest, each row
+    passed through ``checked_rows`` (an iterator of rows to an iterator
+    of rows) when given.  It maps ``float`` over ``_ROW_BLOCK`` rows of
     cells at a time, tested as an array; a block at fault is read again
     cell by cell, so the first row at fault in file order is named (even
     before a later row the reader rejects), and in it the first cell.
+    Both passes fill one pair of arrays that grows in place, so no parse
+    holds its values twice.
     """
     width, signed = len(header), [header.index(c) for c in nonnegative]
-    rows, blocks, block = [], [], []
+    rows, values = np.empty(0, dtype=int), np.empty((0, width))
+    n = 0
+
+    def add(numbers: np.ndarray, floats: np.ndarray) -> None:
+        nonlocal n
+        if n + len(numbers) > len(rows):  # no views of the arrays are alive here
+            size = max(n + len(numbers), 2 * len(rows))
+            rows.resize(size, refcheck=False)
+            values.resize((size, width), refcheck=False)
+        rows[n:n + len(numbers)] = numbers
+        values[n:n + len(numbers)] = floats
+        n += len(numbers)
+
+    for lines in table.line_blocks():
+        floats = _bulk_block(lines, width, signed)
+        if floats is None:
+            table.unread(lines)
+            break
+        add(np.arange(table.row + 1, table.row + 1 + len(lines)), floats)
+        table.row += len(lines)
+
+    block = []
 
     def convert() -> None:
         cells = [c for _, row in block for c in row]
         try:
-            values = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, width)
+            floats = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, width)
         except ValueError:
-            values = None
-        if values is None or not np.isfinite(values).all() or (values[:, signed] < 0).any():
+            floats = None
+        if floats is None or not np.isfinite(floats).all() or (floats[:, signed] < 0).any():
             for i, row in block:
                 parsed = [_parse_float(v, i, c) for v, c in zip(row, header)]
                 for k in signed:
                     if parsed[k] < 0:
                         raise ValidationError(f"row {i}: negative {header[k]} {parsed[k]:g}")
-        rows.append(np.fromiter((i for i, _ in block), int, len(block)))
-        blocks.append(values)
+        add(np.fromiter((i for i, _ in block), int, len(block)), floats)
         block.clear()
 
     try:
-        for item in table:
+        for item in iter(table) if checked_rows is None else checked_rows(iter(table)):
             block.append(item)
             if len(block) == _ROW_BLOCK:
                 convert()
@@ -333,50 +374,114 @@ def _read_floats(table: Iterator[tuple[int, list[str]]], header: Sequence[str],
         convert()  # an earlier row at fault comes first
         raise
     convert()
-    return np.concatenate(rows), np.concatenate(blocks)
+    rows.resize(n, refcheck=False)
+    values.resize((n, width), refcheck=False)
+    return rows, values
+
+
+def _bulk_block(lines: list[str], width: int, signed: Sequence[int]) -> np.ndarray | None:
+    """The (len(lines), width) floats of a block of data lines, converted
+    by numpy's text reader; None where the row reader has to read them.
+
+    numpy's reader gives the row reader's values wherever it accepts a
+    line of unquoted cells, as both parse with the same routine after
+    stripping the same whitespace; it refuses what ``float`` alone takes
+    (underscores, non-ASCII digits).  So a block is kept only if it
+    holds no quote character and no NUL, no line longer than the csv
+    module's field limit, one row of ``width`` values per line (a blank
+    line gives no row), and only finite values, >= 0 in the ``signed``
+    columns: then the row reader would find no fault in it either.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\x00" in text or text.isspace()
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        floats = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if (floats.shape != (len(lines), width) or not np.isfinite(floats).all()
+            or (floats[:, signed] < 0).any()):
+        return None
+    return floats
+
+
+class _Table:
+    """The data rows of an open CSV table after its header, numbered from
+    1 in file order; ``row`` is the last one read.
+
+    ``line_blocks`` hands out up to ``_ROW_BLOCK`` raw lines at a time
+    for the bulk pass, which numbers the rows of a block it keeps (one
+    per line) and gives back, with ``unread``, the one it declines.
+    Iterating reads the rest as (row number, cells) with the csv module:
+    a row whose cells are all blank is skipped, and any other must have
+    one field per header column.
+    """
+
+    def __init__(self, lines: Iterator[str], width: int):
+        self._lines, self._width, self.row = lines, width, 0
+
+    def line_blocks(self) -> Iterator[list[str]]:
+        while True:
+            lines: list[str] = []
+            try:
+                lines.extend(itertools.islice(self._lines, _ROW_BLOCK))
+            except UnicodeDecodeError as exc:
+                # the row reader raises it where it would have: after these lines
+                self._lines = itertools.chain(lines, _raising(exc))
+                return
+            if not lines:
+                return
+            yield lines
+
+    def unread(self, lines: list[str]) -> None:
+        self._lines = itertools.chain(lines, self._lines)
+
+    def __iter__(self) -> Iterator[tuple[int, list[str]]]:
+        for self.row, cells in enumerate(csv.reader(self._lines), start=self.row + 1):
+            if not "".join(cells).strip():
+                continue
+            if len(cells) != self._width:
+                raise ValidationError(
+                    f"row {self.row}: expected {self._width} fields, got {len(cells)}")
+            yield self.row, cells
+
+
+def _raising(exc: Exception) -> Iterator[str]:
+    raise exc
+    yield  # a generator, so that it raises when first read
 
 
 @contextmanager
-def _read_table(source, header: Sequence[str]) -> Iterator[Iterator[tuple[int, list[str]]]]:
+def _read_table(source, header: Sequence[str]) -> Iterator[_Table]:
     """Open a CSV table that follows the rules in the module docstring.
 
     ``source`` is a path, opened as UTF-8 with any leading byte-order
-    mark skipped, or an open text handle.  The with-block receives an
-    iterator that streams the data rows as (1-based row number, cells).
-    Every ``ValidationError`` raised in the block, by the reader or by
-    the caller, is prefixed with the path when ``source`` is one;
-    undecodable bytes and CSV syntax errors are turned into such errors.
+    mark skipped, or an open text handle.  The with-block receives the
+    table's ``_Table``.  Every ``ValidationError`` raised in the block,
+    by the reader or by the caller, is prefixed with the path when
+    ``source`` is one; undecodable bytes and CSV syntax errors are
+    turned into such errors.
     """
-    row = None  # the last row read; None until the header has been read
-
-    def data_rows(reader) -> Iterator[tuple[int, list[str]]]:
-        nonlocal row
-        for row, cells in enumerate(reader, start=1):
-            if not "".join(cells).strip():
-                continue
-            if len(cells) != len(header):
-                raise ValidationError(
-                    f"row {row}: expected {len(header)} fields, got {len(cells)}")
-            yield row, cells
-
+    table = None  # until the header has been read
     is_path = isinstance(source, (str, Path))
     prefix = f"{source}: " if is_path else ""
     try:
         with (open(source, encoding="utf-8-sig", newline="") if is_path
               else nullcontext(source)) as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
+            lines = iter(fh)
+            first = next(csv.reader(lines), None)
             if first is None or [h.strip() for h in first] != list(header):
                 raise ValidationError(f"CSV must start with header {','.join(header)!r}")
-            row = 0
-            yield data_rows(reader)
+            table = _Table(lines, len(header))
+            yield table
     except UnicodeDecodeError as exc:  # its position counts from a read chunk, not the file
         bad = exc.object[exc.start:exc.end]
         where = _undecodable_row(source) if is_path else ""
         raise ValidationError(
             f"{prefix}{where}text is not UTF-8 ({exc.reason}: {bad!r})") from None
     except csv.Error as exc:
-        where = "" if row is None else f"row {row + 1}: "
+        where = "" if table is None else f"row {table.row + 1}: "
         raise ValidationError(f"{prefix}{where}{exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{prefix}{exc}") from None
@@ -492,11 +597,13 @@ def parse_predictions(source, polygons=None) -> PredictionSet:
         except (TypeError, ValueError) as exc:  # includes JSON and ValidationError
             raise ValidationError(f"{name}: {exc}") from None
 
-    row_polygons: list[ConvexPolygon | None] = []
+    row_polygons: dict[int, ConvexPolygon] = {}
 
     def with_region_cells(table: Iterator[tuple[int, list[str]]]):
         """The rows with their region cells checked and a polygon row's circle
-        cells set to zeros; ``row_polygons`` gets each row's polygon or None."""
+        cells set to zeros; ``row_polygons`` maps a polygon row to its polygon.
+        A block the bulk pass keeps has every circle cell filled, so it holds
+        only circles."""
         for i, cells in table:
             present = [bool(c.strip()) for c in cells[3:6]]
             if not all(present):
@@ -510,19 +617,20 @@ def parse_predictions(source, polygons=None) -> PredictionSet:
                         f"row {i}: no circle columns and no polygon sidecar entry "
                         f"for row index {i - 1}")
                 cells = [*cells[:3], "0", "0", "0", cells[6]]
-            row_polygons.append(None if all(present) else poly_map[i - 1])
+                row_polygons[i] = poly_map[i - 1]
             yield i, cells
 
     with _read_table(source, PREDICTION_HEADER) as table:
-        rows, values = _read_floats(with_region_cells(table), PREDICTION_HEADER)
+        rows, values = _read_floats(table, PREDICTION_HEADER, checked_rows=with_region_cells)
         issue, start, end, cx, cy, radius, magnitude = values.T
-        is_circle = np.array([polygon is None for polygon in row_polygons], dtype=bool)
+        polygons = [row_polygons.get(i) for i in rows.tolist()]
+        is_circle = np.array([polygon is None for polygon in polygons], dtype=bool)
         flat = np.flatnonzero(is_circle & (radius <= 0))
         if len(flat):
             raise ValidationError(f"row {rows[flat[0]]}: circle radius must be positive")
         first: dict = {}  # a circle's key is its (cx, cy, radius), a polygon's itself
         index = [first.setdefault(polygon or circle, len(first)) for polygon, circle
-                 in zip(row_polygons, zip(cx.tolist(), cy.tolist(), radius.tolist()))]
+                 in zip(polygons, zip(cx.tolist(), cy.tolist(), radius.tolist()))]
         regions = [Circle(*key) if isinstance(key, tuple) else key for key in first]
         try:
             return PredictionSet(issue, start, end, magnitude, index, regions)

@@ -145,7 +145,11 @@ def chance_probabilities(predictions: Sequence[Prediction], density: SpatialDens
 
 def alarm_groups(predictions: Sequence[Prediction]) -> list[tuple]:
     """Predictions grouped on (region, min_magnitude), as (region,
-    min_magnitude, window_starts, window_ends) tuples for ``count_hits``."""
+    min_magnitude, window_starts, window_ends, edges) tuples for
+    ``count_hits``.  ``edges`` holds the starts, then the ends each
+    nudged to the next float up: for a finite end e, the events at or
+    before e are those before ``nextafter(e, inf)``, so one left search
+    on the edges places both ends of every window."""
     ps = PredictionSet.of(predictions)
     first: dict[tuple, int] = {}
     keys = zip(ps.region_index.tolist(), ps.min_magnitudes.tolist())
@@ -153,8 +157,11 @@ def alarm_groups(predictions: Sequence[Prediction]) -> list[tuple]:
     order = np.argsort(group, kind="stable")
     starts, ends = ps.window_starts[order], ps.window_ends[order]
     stops = np.cumsum(np.bincount(group)).tolist()
-    return [(ps.regions[r], min_mag, starts[a:b], ends[a:b]) for (r, min_mag), a, b
-            in zip(first, [0, *stops], stops)]
+    with np.errstate(over="ignore"):  # the largest float goes to inf, which holds too
+        after = np.nextafter(ends, np.inf)
+    return [(ps.regions[r], min_mag, starts[a:b], ends[a:b],
+             np.concatenate([starts[a:b], after[a:b]]))
+            for (r, min_mag), a, b in zip(first, [0, *stops], stops)]
 
 
 def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
@@ -174,16 +181,17 @@ def count_hits(groups: list[tuple], times: np.ndarray, xs: np.ndarray,
     """
     floor = mags.min() if len(mags) else math.inf
     hits = 0
-    for g, (region, min_mag, starts, ends) in enumerate(groups):
+    for g, (region, min_mag, starts, _, edges) in enumerate(groups):
         sl = slice(None) if bounds is None else slice(bounds[0][g], bounds[1][g])
         t, x, y = times[sl], xs[sl], ys[sl]
         keep = region.contains(x, y)
         if not min_mag <= floor:  # also true when a magnitude is NaN
             keep &= mags[sl] >= min_mag
-        ev = np.sort(t[keep])
-        lo = np.searchsorted(ev, starts, side="left")
-        hi = np.searchsorted(ev, ends, side="right")
-        hits += int(np.count_nonzero(hi > lo))
+        ev = t[keep]  # a copy, sorted in place
+        ev.sort()
+        # events before each start, then events at or before each end
+        at = np.searchsorted(ev, edges, side="left")
+        hits += int(np.count_nonzero(at[len(starts):] > at[:len(starts)]))
     return hits
 
 
@@ -195,8 +203,8 @@ def count_successes(catalog: Catalog, predictions: Sequence[Prediction]) -> int:
     """
     groups = alarm_groups(predictions)
     t = catalog.times
-    bounds = (np.searchsorted(t, [starts.min() for _, _, starts, _ in groups], side="left"),
-              np.searchsorted(t, [ends.max() for _, _, _, ends in groups], side="right"))
+    bounds = (np.searchsorted(t, [starts.min() for _, _, starts, _, _ in groups], side="left"),
+              np.searchsorted(t, [ends.max() for _, _, _, ends, _ in groups], side="right"))
     return count_hits(groups, t, catalog.xs, catalog.ys, catalog.magnitudes, bounds)
 
 
@@ -207,8 +215,10 @@ def poisson_binomial_pmf(probs) -> np.ndarray:
         raise ValidationError("probabilities must lie in [0, 1]")
     pmf = np.zeros(len(p) + 1)
     pmf[0] = 1.0
-    for pj in p:
-        pmf[1:] = pmf[1:] * (1.0 - pj) + pmf[:-1] * pj
+    # after j trials the pmf is zero beyond j, exactly, so trial j
+    # updates only the entries up to j + 1
+    for j, pj in enumerate(p.tolist()):
+        pmf[1:j + 2] = pmf[1:j + 2] * (1.0 - pj) + pmf[:j + 1] * pj
         pmf[0] *= 1.0 - pj
     return pmf
 

@@ -253,7 +253,6 @@ def gaussian_masses(regions: Sequence[Region], means, cov) -> np.ndarray:
     """
     m = _as_means(means)
     cov = np.asarray(cov, dtype=float)
-    out = np.empty((len(regions), len(m)))
     # circles as (cx, cy, radius) under key 0, polygons by vertex count
     groups: dict[int, list[tuple]] = {}
     for i, region in enumerate(regions):
@@ -262,11 +261,31 @@ def gaussian_masses(regions: Sequence[Region], means, cov) -> np.ndarray:
         else:
             v = region.vertices
             groups.setdefault(len(v), []).append((i, v))
+    if len(groups) == 1:  # one rule gives every row, in order
+        ((size, members),) = groups.items()
+        rule = _circle_masses if size == 0 else _polygon_masses
+        return rule(np.array([shape for _, shape in members]), m, cov)
+    out = np.empty((len(regions), len(m)))
     for size, members in groups.items():
         idx, shapes = zip(*members)
         rule = _circle_masses if size == 0 else _polygon_masses
         out[list(idx)] = rule(np.array(shapes), m, cov)
     return out
+
+
+def _covariance_cache(frame: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
+    """``frame(cov)`` computed once per covariance: the last few are kept,
+    keyed by the bytes of the float64 matrix, and their arrays are read-only
+    since every call with that covariance shares them."""
+    @functools.lru_cache(maxsize=16)
+    def cached(key: bytes) -> tuple:
+        parts = frame(np.frombuffer(key).reshape(2, 2))
+        for part in parts:
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        return parts
+
+    return lambda cov: cached(np.ascontiguousarray(cov, dtype=float).tobytes())
 
 
 def _blocked(n_shapes: int, means: np.ndarray, step: int,
@@ -277,13 +296,27 @@ def _blocked(n_shapes: int, means: np.ndarray, step: int,
     and returns their (shapes, means) table, so no array grows with the
     number of pairs but the result."""
     n = len(means)
-    out = np.empty((n_shapes, n))
     cols = max(1, min(n, step))
     rows = max(1, step // cols)
+    if rows >= n_shapes and cols >= n:  # one block holds every pair
+        return np.clip(block(slice(0, n_shapes), means), 0.0, 1.0)
+    out = np.empty((n_shapes, n))
     for s in range(0, n_shapes, rows):
         for c in range(0, n, cols):
             out[s:s + rows, c:c + cols] = block(slice(s, s + rows), means[c:c + cols])
     return np.clip(out, 0.0, 1.0)
+
+
+@_covariance_cache
+def _circle_frame(cov: np.ndarray) -> tuple:
+    """What the circle rule needs of ``cov``: the principal axes ``rot``,
+    the SDs ``sx`` and ``sy`` along them, the band edges -+8 sx, 8 sx,
+    8 sy and -8 sy, and the x-kernel's normalizing constant sx sqrt(2 pi),
+    each the expression the rule used to evaluate on every call."""
+    lam, rot = np.linalg.eigh(cov)
+    sx, sy = np.sqrt(lam)
+    return (rot, sx, sy, _PM * _SD_CUT * sx, _SD_CUT * sx, _SD_CUT * sy,
+            -_SD_CUT * sy, sx * np.sqrt(2.0 * np.pi))
 
 
 def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -297,11 +330,16 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
     Gauss-Legendre on sub-intervals cut where the x-Gaussian or either
     chord end crosses the kernel's +-8 SD band; sub-intervals outside
     the band carry nothing and are dropped.
+
+    What depends on ``cov`` alone (``eigh``'s principal frame, the band
+    limits and the kernel's normalizing constant) is computed once per
+    covariance by ``_circle_frame`` and kept for later calls.  Each mass
+    is the same expression, in the same order, as when all of it was
+    computed on every call, so it keeps its bits.
     """
     from scipy.special import ndtr
     gl_x, gl_w = _gauss_legendre()
-    lam, rot = np.linalg.eigh(cov)
-    sx, sy = np.sqrt(lam)
+    rot, sx, sy, x_band, x_lim, y_lim, y_low, norm = _circle_frame(cov)
     # 8 cut points per row bound 7 sub-intervals of _GL_NODES nodes
     step = max(1, _EVAL_CHUNK // (7 * _GL_NODES))
 
@@ -310,28 +348,36 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
         # circle centre relative to each kernel mean, in the principal
         # frame, one row per (circle, mean) pair
         o = (c[:, None, :2] - m).reshape(-1, 2) @ rot
-        r = np.repeat(c[:, 2:], len(m), axis=0)
+        r = c[:, 2:] if len(m) == 1 else np.repeat(c[:, 2:], len(m), axis=0)
         ox, oy = o[:, :1], o[:, 1:]
-        half_pi = np.full_like(ox, 0.5 * np.pi)
-        x_cut = np.arcsin(np.minimum(np.maximum((_PM * _SD_CUT * sx - ox) / r, -1.0), 1.0))
-        # a chord end crosses the band edges where cos(theta) takes these
-        # values; above 1 there is no crossing, and the cut falls on the end
-        y_cos = np.abs(_SD_CUT * sy + _PM * oy) / r
-        y_cos = np.where(y_cos < 1.0, np.arccos(np.minimum(y_cos, 1.0)), 0.5 * np.pi)
-        cuts = np.concatenate([-half_pi, half_pi, x_cut, y_cos, -y_cos], axis=1)
+        # the cut table: the half-circle's ends, where x crosses the band
+        # edges, and where a chord end does (cos(theta) above 1 has no
+        # crossing, and the cut falls on the end).  The inverse sines and
+        # cosines go to fresh arrays first: numpy may take another loop,
+        # with other rounding, for a strided output.
+        cuts = np.empty((len(o), 8))
+        cuts[:, 0] = -0.5 * np.pi
+        cuts[:, 1] = 0.5 * np.pi
+        cuts[:, 2:4] = np.arcsin(np.minimum(np.maximum((x_band - ox) / r, -1.0), 1.0))
+        y_cos = np.abs(y_lim + _PM * oy) / r
+        cuts[:, 4:6] = np.arccos(np.minimum(y_cos, 1.0))
+        cuts[:, 4:6][~(y_cos < 1.0)] = 0.5 * np.pi
+        np.negative(cuts[:, 4:6], out=cuts[:, 6:])
         cuts.sort(axis=1)
         lo, hi = cuts[:, :-1], cuts[:, 1:]
         mid = 0.5 * (lo + hi)
         chord_mid = r * np.cos(mid)
-        live = ((hi > lo) & (np.abs(ox + r * np.sin(mid)) < _SD_CUT * sx)
-                & (oy + chord_mid > -_SD_CUT * sy) & (oy - chord_mid < _SD_CUT * sy))
+        live = ((hi > lo) & (np.abs(ox + r * np.sin(mid)) < x_lim)
+                & (oy + chord_mid > y_low) & (oy - chord_mid < y_lim))
         k, j = np.nonzero(live)
+        if not len(k):  # every sub-interval lies outside the band
+            return np.zeros((len(c), len(m)))
         centre, half = mid[k, j, None], 0.5 * (hi - lo)[k, j, None]
         theta = centre + half * gl_x
         rk, oyk = r[k], oy[k]
         x = ox[k] + rk * np.sin(theta)
         chord = rk * np.cos(theta)
-        f = (np.exp(-0.5 * (x / sx) ** 2) / (sx * np.sqrt(2.0 * np.pi))
+        f = (np.exp(-0.5 * (x / sx) ** 2) / norm
              * (ndtr((oyk + chord) / sy) - ndtr((oyk - chord) / sy)) * chord)
         # a sum per row, not a BLAS matrix product, whose rounding would
         # depend on how many rows share the call
@@ -340,6 +386,13 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
         return mass.reshape(len(c), len(m))
 
     return _blocked(len(circles), means, step, block)
+
+
+@_covariance_cache
+def _whitening(cov: np.ndarray) -> tuple:
+    """The inverse of ``cov``'s Cholesky factor, transposed, as the
+    polygon rule applies it: ``offsets @ low_inv_t`` whitens them."""
+    return (np.linalg.inv(np.linalg.cholesky(cov)).T,)
 
 
 def _polygon_masses(vertices: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -355,12 +408,13 @@ def _polygon_masses(vertices: np.ndarray, means: np.ndarray, cov: np.ndarray) ->
     (atan(t_b/d) - atan(t_a/d)) / 2pi - (T(d, t_b/d) - T(d, t_a/d)),
     T being Owen's T function; the sign of d carries the triangle's
     orientation.  An edge whose line passes through the origin spans a
-    degenerate triangle and adds nothing.
+    degenerate triangle and adds nothing.  The whitening is computed
+    once per covariance (``_whitening``).
     """
     from scipy.special import owens_t
-    low_inv = np.linalg.inv(np.linalg.cholesky(cov))
+    (low_inv_t,) = _whitening(cov)
     # whitened edges are the same for every kernel
-    e = (np.concatenate([vertices[:, 1:], vertices[:, :1]], axis=1) - vertices) @ low_inv.T
+    e = (np.concatenate([vertices[:, 1:], vertices[:, :1]], axis=1) - vertices) @ low_inv_t
     length = np.hypot(e[..., 0], e[..., 1])
     # a repeated vertex makes an edge of length 0: u = 0, so d = 0 below
     u = e / np.maximum(length, 1e-300)[..., None]
@@ -369,7 +423,7 @@ def _polygon_masses(vertices: np.ndarray, means: np.ndarray, cov: np.ndarray) ->
     step = max(1, _EVAL_CHUNK // (2 * vertices.shape[1]))
 
     def block(shapes: slice, m: np.ndarray) -> np.ndarray:
-        a = (vertices[shapes, None] - m[:, None, :]) @ low_inv.T
+        a = (vertices[shapes, None] - m[:, None, :]) @ low_inv_t
         vx, vy = ux[shapes, None], uy[shapes, None]
         d = a[..., 0] * vy - a[..., 1] * vx
         t_a = a[..., 0] * vx + a[..., 1] * vy

@@ -78,10 +78,10 @@ def _bump_frame(q: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _bump_masses(regions: Sequence[Region], x_c: np.ndarray,
                  frame: tuple[np.ndarray, float]) -> np.ndarray:
-    """Mass of exp(-(x - x_c)' Q (x - x_c)) over each region, given Q's
-    ``_bump_frame``."""
+    """Mass of exp(-(x - x_c)' Q (x - x_c)) over each region, given the
+    centre as a (1, 2) array and Q's ``_bump_frame``."""
     cov, factor = frame
-    return factor * gaussian_masses(regions, np.reshape(x_c, (1, 2)), cov)[:, 0]
+    return factor * gaussian_masses(regions, x_c, cov)[:, 0]
 
 
 class _Density:
@@ -105,9 +105,9 @@ class _Density:
         if not all(contains_region(self.region, r) for r in regions):
             raise ValidationError("subregion escapes the model's region")
         mass = self._masses(regions)
-        bad = mass[~np.isfinite(mass)]
-        if len(bad):
-            raise QuakevalError(f"region mass came out as {float(bad[0])!r}, "
+        finite = np.isfinite(mass)
+        if not finite.all():
+            raise QuakevalError(f"region mass came out as {float(mass[~finite][0])!r}, "
                                 "not a finite number")
         return np.minimum(np.maximum(mass, 0.0), 1.0)
 
@@ -139,15 +139,16 @@ class ParametricDensity(_Density):
             raise ValidationError("bump amplitude p1 must be finite and >= 0")
         self.p1 = float(p1)
         self._bump_gauss = _bump_frame(self.q_matrix)
+        self._bump_mean = self.x_c.reshape(1, 2)  # the centre as gaussian_masses takes it
         self.bump_mass = 0.0 if self.p1 == 0.0 \
-            else float(_bump_masses([region], self.x_c, self._bump_gauss)[0])
+            else float(_bump_masses([region], self._bump_mean, self._bump_gauss)[0])
         weight = self.p1 * self.bump_mass
         if weight > 1.0 + 1e-9:
             raise ValidationError(
                 f"bump carries probability {weight:.6f} > 1; reduce p1")
         self.p0 = max((1.0 - weight) / region.area, 0.0)
-        self.x_c.flags.writeable = False
-        self.q_matrix.flags.writeable = False
+        for arr in (self.x_c, self._bump_mean, self.q_matrix):
+            arr.flags.writeable = False
 
     @classmethod
     def from_mixture(cls, x_c, q_matrix, weight: float, region: Region) -> "ParametricDensity":
@@ -155,7 +156,7 @@ class ParametricDensity(_Density):
             raise ValidationError("bump weight must lie in [0, 1]")
         if weight == 0.0:
             return cls(x_c, q_matrix, 0.0, region)
-        mass = _bump_masses([region], np.asarray(x_c, dtype=float),
+        mass = _bump_masses([region], np.reshape(np.asarray(x_c, dtype=float), (1, 2)),
                             _bump_frame(_check_spd(q_matrix, "Q")))[0]
         if not mass > 0.0:
             raise ValidationError("the bump has no mass inside the region to carry "
@@ -180,7 +181,7 @@ class ParametricDensity(_Density):
         """The bump's masses come from one ``gaussian_masses`` call."""
         mass = self.p0 * np.array([r.area for r in regions], dtype=float)
         if self.p1 > 0:
-            mass += self.p1 * _bump_masses(regions, self.x_c, self._bump_gauss)
+            mass += self.p1 * _bump_masses(regions, self._bump_mean, self._bump_gauss)
         return mass
 
     def log_likelihood(self, points) -> float:

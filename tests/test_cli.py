@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import time
 import warnings
@@ -583,3 +585,21 @@ def test_kde_point_outside_region_exits_2_naming_the_row(tmp_path, capsys):
     assert run(argv) == 2
     assert (f"{path}: row 3: kernel point (500, 50) lies outside the model's region"
             in capsys.readouterr().err)
+
+
+def test_runs_leave_no_parsers_for_the_garbage_collector(tmp_path):
+    """The command-line parser is built once per process: a parser built on
+    every run is a graph of reference cycles that stays in memory until
+    the cyclic collector next runs."""
+    argv = ["precursor", *_base_args(), "--predictions", PRED, "--out", str(tmp_path / "p.json")]
+    assert run(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        before = sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+        for _ in range(3):
+            assert run(argv) == 0
+        after = sum(isinstance(o, argparse.ArgumentParser) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert after == before

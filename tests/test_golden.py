@@ -51,3 +51,54 @@ def test_simulation_matches_golden_bytes(monkeypatch, tmp_path, name, workers):
     if samples:
         assert (tmp_path / "samples.csv").read_bytes() \
             == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+# The scoring commands on tests/data.  Each run works in a directory of its
+# own, in which ``tests`` links to the repository's tests directory, so the
+# inputs are named as from the repository root and the outputs by bare file
+# names; reports and model files then carry the same paths on every run.
+# To regenerate, run each argv with ``quakeval`` from such a directory and
+# copy its outputs to tests/data/golden/scoring/.
+SCORING = GOLDEN / "scoring"
+_CATALOG = ["--earthquakes", "tests/data/earthquakes.csv", "--region", "0,200,0,200",
+            "--record-start", "0", "--record-end", "1000"]
+_MIXED = ["--predictions", "tests/data/predictions_mixed.csv",
+          "--polygons", "tests/data/predictions_mixed.regions.json"]
+_MODELS = {"uniform": "uniform", "parametric": str(SCORING / "parametric.json"),
+           "kde": str(SCORING / "kde.json")}
+
+# name -> (argv, the files it writes)
+SCORING_RUNS = {
+    "filter-aftershocks": (["filter-aftershocks", *_CATALOG, "--filtered-out", "kept.csv",
+                            "--out", "filter.json"],
+                           ["filter.json", "kept.csv", "kept.exclusions.csv"]),
+    "fit-parametric": (["fit-density", *_CATALOG, "--kind", "parametric",
+                        "--model-out", "parametric.json", "--out", "fit-parametric.json"],
+                       ["fit-parametric.json", "parametric.json"]),
+    "fit-kde": (["fit-density", *_CATALOG, "--kind", "kde", "--model-out", "kde.json",
+                 "--out", "fit-kde.json"],
+                ["fit-kde.json", "kde.json", "kde.points.csv"]),
+    **{f"{command}-{model}": ([command, *_CATALOG, *_MIXED, "--density", path, *extra,
+                               "--out", f"{command}-{model}.json"], [f"{command}-{model}.json"])
+       for model, path in _MODELS.items()
+       for command, extra in (("significance", ["--exact"]), ("enhancement", []))},
+    # sixty distinct circles under the fitted bump
+    "significance-parametric-circles": (
+        ["significance", *_CATALOG, "--predictions", "tests/data/predictions.csv",
+         "--density", _MODELS["parametric"], "--exact",
+         "--out", "significance-parametric-circles.json"],
+        ["significance-parametric-circles.json"]),
+    "precursor": (["precursor", *_CATALOG, "--predictions", "tests/data/predictions.csv",
+                   "--out", "precursor.json"], ["precursor.json"]),
+}
+
+
+@pytest.mark.parametrize("name", list(SCORING_RUNS))
+def test_scoring_command_matches_golden_bytes(monkeypatch, tmp_path, name):
+    (tmp_path / "tests").symlink_to(ROOT / "tests")
+    monkeypatch.chdir(tmp_path)
+    argv, outputs = SCORING_RUNS[name]
+    assert run(argv) == 0
+    for output in outputs:
+        assert (tmp_path / output).read_bytes() == (ROOT / SCORING / output).read_bytes(), \
+            output

@@ -367,7 +367,7 @@ def _reference_catalog(model, rng):
 def _reference_hits(predictions, times, xy, mags):
     """Hits on a time-sorted catalog, with no sort of its own."""
     hits = 0
-    for region, min_mag, starts, ends in alarm_groups(predictions):
+    for region, min_mag, starts, ends, _ in alarm_groups(predictions):
         ev = times[(mags >= min_mag) & region.contains(xy[:, 0], xy[:, 1])]
         hits += int(np.count_nonzero(np.searchsorted(ev, ends, side="right")
                                      > np.searchsorted(ev, starts, side="left")))

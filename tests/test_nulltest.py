@@ -280,6 +280,45 @@ def test_count_hits_tests_magnitudes_only_where_they_exclude(mags):
     assert count_hits(alarm_groups(preds), t[:0], xs[:0], ys[:0], mags[:0]) == 0
 
 
+def _two_search_hits(groups, times, xs, ys, mags) -> int:
+    """``count_hits`` as it was: a left search for the starts and a right
+    search for the ends, on each group's sorted qualifying times."""
+    hits = 0
+    for region, min_mag, starts, ends, _ in groups:
+        ev = np.sort(times[region.contains(xs, ys) & (mags >= min_mag)])
+        hits += int(np.count_nonzero(np.searchsorted(ev, ends, side="right")
+                                     > np.searchsorted(ev, starts, side="left")))
+    return hits
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_count_hits_one_search_matches_two(seed):
+    """Times on a coarse grid, so that window ends and starts fall on
+    event times, on neighbouring floats and between; zero-length windows
+    and a window at the largest float too."""
+    rng = np.random.default_rng(seed)
+    n = 300
+    t = rng.integers(0, 40, n) * 0.5
+    xs, ys = rng.uniform(0.0, 200.0, n), rng.uniform(0.0, 200.0, n)
+    mags = rng.choice([4.0, 4.5, 5.0], n)
+    zones = [Circle(60.0, 60.0, 50.0), Circle(140.0, 120.0, 40.0), REGION]
+    preds = []
+    for _ in range(120):
+        start = float(rng.integers(0, 40) * 0.5)
+        end = start + float(rng.choice([0.0, 0.5, 1.0, 3.5]))
+        start, end = [float(np.nextafter(v, rng.choice([-np.inf, np.inf])))
+                      if rng.random() < 0.3 else v for v in (start, end)]
+        if end < start:
+            end = start
+        preds.append(Prediction(start, start, end, zones[rng.integers(0, 3)],
+                                float(rng.choice([4.0, 4.5, 5.0, 5.5]))))
+    preds.append(Prediction(0.0, 0.0, np.finfo(float).max, REGION, 4.0))
+    groups = alarm_groups(preds)
+    expected = _two_search_hits(groups, t, xs, ys, mags)
+    assert 0 < expected < len(preds)
+    assert count_hits(groups, t, xs, ys, mags) == expected
+
+
 def test_chance_probabilities_integrate_each_region_once():
     class CountingDensity:
         def __init__(self, density):

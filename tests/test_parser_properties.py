@@ -6,12 +6,15 @@ bytes (with and without a valid header in front) and CSV-shaped text
 built from numbers, blanks, words and stray quotes.  Valid earthquake
 tables must parse to the columns ``float`` gives cell by cell, valid
 prediction tables to what a per-row reader gives, and a single planted
-fault must be named by its row.  Examples are
+fault must be named by its row.  The numpy bulk pass must read every
+table, valid or not, as the csv row reader alone does.  Examples are
 derandomized so every run checks the same cases.
 """
 
+import csv
 import io
 import json
+from contextlib import contextmanager, nullcontext
 from unittest import mock
 
 import numpy as np
@@ -324,3 +327,166 @@ def test_prediction_faults_come_in_file_order_by_kind():
                           (window_then_radius, "row 2: circle radius must be positive")]:
         with pytest.raises(ValidationError, match=message):
             parse_predictions(io.StringIO(text))
+
+
+# ------------------------------------------- the bulk pass against the row reader
+
+def read_floats(path, bulk: bool, header=EARTHQUAKE_HEADER, nonnegative=("time",)):
+    """``_read_floats`` on a file: its row numbers and values, or its error
+    message.  Without ``bulk`` the numpy pass declines every block, so the
+    row reader reads the whole table."""
+    declined = mock.patch.object(catalog_module, "_bulk_block", lambda *args: None)
+    try:
+        with declined if not bulk else nullcontext():
+            with catalog_module._read_table(path, header) as table:
+                rows, values = catalog_module._read_floats(table, header, nonnegative)
+    except ValidationError as exc:
+        return str(exc)
+    assert rows.dtype == np.dtype(int) and values.dtype == np.dtype(float)
+    return rows.tolist(), values.shape, values.tobytes()
+
+
+LONG = "1" * 30  # longer than the field limit the tests set
+plain_numbers = st.one_of(st.floats(0.0, 1000.0).map(repr), st.integers(0, 1000).map(str),
+                          st.floats(0.0, 1000.0).map("{:.6e}".format))
+odd_cells = st.sampled_from([
+    "", " ", "\t", "nan", "inf", "-inf", "1e999", "-1", "-0.0", "-1e-300", " 5 ", "\t7\t",
+    "1_0", "١٢", "٥.5", "1\x00", "\x002", '"3"', '"', '4"', '"5', "x",
+    "0x10", "\ufeff1", " 1.5", "1.5 ", "\x1c9", "1e5", "+3", ".5", "5.", LONG,
+])
+cell = st.one_of(plain_numbers, plain_numbers, plain_numbers, odd_cells)
+valid_line = st.lists(plain_numbers, min_size=4, max_size=4).map(",".join)
+odd_line = st.one_of(
+    st.lists(cell, min_size=4, max_size=4).map(",".join),
+    st.lists(cell, min_size=0, max_size=6).map(",".join),
+    st.sampled_from(["", " ", "\t ", ",,,", " , ,\t, ", '"1,2",3,4', '1,"2\n3",4,5',
+                     "1,2,3,4\r", "1\r2,3,4,5"]),
+)
+table_lines = st.lists(st.one_of(valid_line, valid_line, valid_line, odd_line), max_size=14)
+table_layout = dict(newline=st.sampled_from(["\n", "\r\n", "\r"]), bom=st.booleans(),
+                    block=st.sampled_from([1, 2, 3, 5, 1024]),
+                    limit=st.sampled_from([None, 20]))
+
+
+def _write_lines(path, lines, newline, bom, header=EARTHQUAKE_HEADER) -> None:
+    text = newline.join([",".join(header), *lines]) + newline
+    path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
+
+
+@contextmanager
+def field_limit(limit):
+    """The csv module's field size limit set to ``limit`` (None: as is)."""
+    old = csv.field_size_limit()
+    if limit is not None:
+        csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+@PROPERTY
+@given(lines=table_lines, **table_layout)
+def test_bulk_pass_reads_what_the_row_reader_reads(workdir, lines, newline, bom, block,
+                                                   limit):
+    """Rows and values, or the error message, bit for bit: over blank and
+    quoted rows, CR, CRLF and LF line ends, a BOM, NUL characters, numbers
+    only ``float`` reads, non-finite and negative cells, wrong field
+    counts and fields over the field limit, with faults on either side
+    of a block boundary."""
+    path = workdir / "bulk.csv"
+    _write_lines(path, lines, newline, bom)
+    with field_limit(limit), mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        assert read_floats(path, bulk=True) == read_floats(path, bulk=False)
+
+
+@PROPERTY
+@given(good=st.lists(valid_line, min_size=1, max_size=12), data=st.data(),
+       block=st.sampled_from([2, 3, 4]))
+def test_faults_around_a_block_boundary_are_named_alike(workdir, good, data, block):
+    """Two faults planted anywhere in a table of valid rows, so that they
+    fall in one block, in neighbouring blocks or far apart: both readers
+    name the same row with the same message."""
+    lines = list(good)
+    for _ in range(2):
+        k = data.draw(st.integers(0, len(lines)), label="position")
+        lines.insert(k, data.draw(odd_line, label="fault"))
+    path = workdir / "boundary.csv"
+    _write_lines(path, lines, "\n", False)
+    with mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        assert read_floats(path, bulk=True) == read_floats(path, bulk=False)
+
+
+def _parse_outcome(parse, path, bulk: bool):
+    declined = mock.patch.object(catalog_module, "_bulk_block", lambda *args: None)
+    try:
+        with declined if not bulk else nullcontext():
+            return parse(path)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@PROPERTY
+@given(rows=prediction_rows, block=st.sampled_from([1, 2, 3, 1024]))
+def test_prediction_tables_read_alike_in_bulk_and_by_row(workdir, rows, block):
+    """Circle rows go in bulk, polygon rows by row; the set or the error
+    is the row reader's."""
+    path = workdir / "bulk-predictions.csv"
+    _, sidecar = write_predictions(path, rows)
+    parse = lambda p: parse_predictions(p, polygons=sidecar)  # noqa: E731
+    with mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        got, want = _parse_outcome(parse, path, True), _parse_outcome(parse, path, False)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for column in ("issue_times", "window_starts", "window_ends", "min_magnitudes",
+                   "region_index"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert got.regions == want.regions
+
+
+ODD_LINES = ['"1",2,3,4', '1,2,3,"4"', '1,"2\n3",4,5', "1\x00,2,3,4", "-1,2,3,4",
+             "-0.0,2,3,4", "1,2,3", "1,2,3,4,5", f"{LONG},1,1,1", "", "  ", ",,,",
+             "1_0,1,1,1", "١,1,1,1", "nan,1,1,1", "1,inf,1,1", "1,2,3,4\r"]
+
+
+@pytest.mark.parametrize("where", [0, 2, 3, 5, 6])
+@pytest.mark.parametrize("line", ODD_LINES, ids=repr)
+def test_one_odd_line_among_valid_rows_reads_alike(workdir, line, where):
+    """Each kind of line the bulk pass must decline (or may keep), first,
+    last or either side of a block boundary among six valid rows."""
+    lines = [f"{k}.5,{k},{2 * k},4.5" for k in range(6)]
+    lines.insert(where, line)
+    path = workdir / "odd.csv"
+    _write_lines(path, lines, "\n", False)
+    with field_limit(20), mock.patch.object(catalog_module, "_ROW_BLOCK", 3):
+        assert read_floats(path, bulk=True) == read_floats(path, bulk=False)
+
+
+CHUNK = 8192  # the bytes a text file decodes at a time
+
+
+@pytest.mark.parametrize("before", [None, 0, 1, 2, 40, 200])
+def test_an_undecodable_byte_deep_in_a_file_reads_alike(workdir, before):
+    """A byte that is not UTF-8 in the fifth decoded chunk of a file, with
+    a short row ``before`` rows ahead of the row that chunk starts in: the
+    row reader meets a short row that ends before the chunk first, and so
+    must the bulk pass, which hands the lines it read before the bad chunk
+    to the row reader."""
+    lines = [f"{k}.25,{k % 97}.5,{k % 89}.75,4.5" for k in range(1, 2000)]
+    head = ",".join(EARTHQUAKE_HEADER) + "\n"
+    ends = np.cumsum([len(head)] + [len(line) + 1 for line in lines])  # after each row
+    inside = int(np.searchsorted(ends, 4 * CHUNK, side="right"))  # the row the chunk starts in
+    if before is not None:
+        lines[inside - before - 1] = "1,2,3"
+    data = (head + "\n".join(lines) + "\n").encode()
+    bad = int(ends[inside + 3])  # the start of a row a little into the chunk
+    path = workdir / "undecodable.csv"
+    path.write_bytes(data[:bad] + b"\xff" + data[bad:])
+    with mock.patch.object(catalog_module, "_ROW_BLOCK", 64):
+        got = read_floats(path, bulk=True)
+    assert got == read_floats(path, bulk=False)
+    if before is None:
+        assert "text is not UTF-8" in got
+    elif before:  # the row the chunk starts in may come before the error or not
+        assert got.endswith(f"row {inside - before}: expected 4 fields, got 3")

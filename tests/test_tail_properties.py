@@ -32,6 +32,26 @@ def test_pmf_sums_to_one(probs):
     assert abs(float(pmf.sum()) - 1.0) <= 1e-12
 
 
+def _full_recursion_pmf(probs) -> np.ndarray:
+    """The pmf recursion updating every entry at every step, as it was."""
+    p = np.asarray(probs, dtype=float).ravel()
+    pmf = np.zeros(len(p) + 1)
+    pmf[0] = 1.0
+    for pj in p:
+        pmf[1:] = pmf[1:] * (1.0 - pj) + pmf[:-1] * pj
+        pmf[0] *= 1.0 - pj
+    return pmf
+
+
+@PROPERTY
+@given(st.lists(st.one_of(probability, st.sampled_from([0.0, 1.0])), min_size=1,
+                max_size=300))
+def test_pmf_keeps_the_full_recursions_bits(probs):
+    """Updating only the entries a step can reach changes no bit, with
+    certain and impossible trials among the rest."""
+    assert poisson_binomial_pmf(probs).tobytes() == _full_recursion_pmf(probs).tobytes()
+
+
 @PROPERTY
 @given(probabilities)
 def test_exact_tail_is_non_increasing_in_k(probs):
