@@ -522,9 +522,8 @@ def empirical_tau_moments(t: float, n: int, span: float, replicates: int,
     while done < replicates:
         rows = min(chunk, replicates - done)
         ev = rng.random((rows, cols)) * span
-        ahead = np.where(ev >= t, ev, np.inf)
-        nxt = ahead.min(axis=1)
-        taus[done:done + rows] = np.where(np.isfinite(nxt), nxt - t, span - t)
+        t_column = np.full((rows, 1), float(t))
+        taus[done:done + rows] = _next_event_waits(ev[:, None, :], t_column, span)[:, 0]
         done += rows
     mean = float(taus.mean())
     var = float(taus.var(ddof=1))

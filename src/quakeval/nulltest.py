@@ -439,8 +439,10 @@ def significance_report(catalog: Catalog, predictions: Sequence[Prediction],
     (omitted when nothing succeeded).  When the null variance is zero
     (every probability is 0 or 1) the normal approximation is undefined:
     ``z`` and ``significance`` are None, and the exact tail, when asked
-    for, is still given.
+    for, is still given.  ``alpha`` must lie in (0, 0.5).
     """
+    if not 0.0 < alpha < 0.5:
+        raise ValidationError("alpha must lie in (0, 0.5)")
     ps = PredictionSet.of(predictions)
     validate_predictions_against(ps, catalog)
     cp = chance_probabilities(ps, density, catalog)

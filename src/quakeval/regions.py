@@ -8,11 +8,14 @@ its bounding box, point membership and how to draw uniform samples from
 itself; ``contains_region`` tells whether one shape fully contains
 another.
 
-``gaussian_masses(regions, means, cov)`` gives the mass each region
-holds under a bivariate Gaussian, P(N(mean_j, cov) in region i), for
-every region and every row of ``means`` in one call; both density
-families are built from it.  Accuracy does not depend on how
-narrow the kernel is against the shape:
+``Gaussian(cov)`` is the bivariate Gaussian kernel N(mean, cov) with a
+fixed covariance.  Its ``masses(regions, means)`` gives
+P(N(mean_j, cov) in region i) for every region and every row of
+``means`` in one call; both density families are built from it.  The
+kernel keeps, read-only, what it computes of ``cov`` on first use: the
+circle rule's principal frame, the Cholesky factor that draws use and
+the polygon rule's whitening, taken from that factor.  Accuracy does
+not depend on how narrow the kernel is against the shape:
 
 * Rectangles and convex polygons are closed form (Owen's T function per
   edge, after whitening): absolute error about 1e-15 per edge.
@@ -31,6 +34,7 @@ which compute no mass never load it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -65,7 +69,8 @@ class Rectangle:
     y_max: float
 
     def __post_init__(self):
-        if not (np.isfinite([self.x_min, self.x_max, self.y_min, self.y_max]).all()):
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)
+                and math.isfinite(self.y_min) and math.isfinite(self.y_max)):
             raise ValidationError("rectangle bounds must be finite")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
             raise ValidationError("rectangle must have positive extent in both axes")
@@ -111,7 +116,8 @@ class Circle:
     radius: float
 
     def __post_init__(self):
-        if not np.isfinite([self.cx, self.cy, self.radius]).all():
+        if not (math.isfinite(self.cx) and math.isfinite(self.cy)
+                and math.isfinite(self.radius)):
             raise ValidationError("circle parameters must be finite")
         if self.radius <= 0:
             raise ValidationError("circle radius must be positive")
@@ -236,56 +242,70 @@ def _signed_area(v: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _as_means(means) -> np.ndarray:
-    m = np.asarray(means, dtype=float)
-    if m.ndim != 2 or m.shape[1] != 2:
-        raise ValidationError("means must have shape (n, 2)")
-    return m
+class Gaussian:
+    """N(mean, cov) for a fixed 2x2 ``cov``, the mean left free.  What
+    depends on ``cov`` alone is computed on first use and kept."""
 
+    def __init__(self, cov):
+        self.cov = np.array(cov, dtype=float)
+        self.cov.flags.writeable = False
 
-def gaussian_masses(regions: Sequence[Region], means, cov) -> np.ndarray:
-    """P(N(mean_j, cov) in regions[i]), shape (len(regions), len(means)).
+    @functools.cached_property
+    def frame(self) -> tuple:
+        """What the circle rule needs: the principal axes ``rot``, the SDs
+        ``sx`` and ``sy`` along them, the band edges -+8 sx, 8 sx, 8 sy and
+        -8 sy, and the x-kernel's normalizing constant sx sqrt(2 pi)."""
+        lam, rot = np.linalg.eigh(self.cov)
+        sx, sy = np.sqrt(lam)
+        x_band = _PM * _SD_CUT * sx
+        rot.flags.writeable = x_band.flags.writeable = False
+        return (rot, sx, sy, x_band, _SD_CUT * sx, _SD_CUT * sy, -_SD_CUT * sy,
+                sx * np.sqrt(2.0 * np.pi))
 
-    The circles go through the circle rule in one call, and the polygons
-    (rectangles among them) through the polygon rule in one call per
-    vertex count.  Each mass depends only on its region, its mean and
-    ``cov``, not on what else is in the list.
-    """
-    m = _as_means(means)
-    cov = np.asarray(cov, dtype=float)
-    # circles as (cx, cy, radius) under key 0, polygons by vertex count
-    groups: dict[int, list[tuple]] = {}
-    for i, region in enumerate(regions):
-        if isinstance(region, Circle):
-            groups.setdefault(0, []).append((i, (region.cx, region.cy, region.radius)))
-        else:
-            v = region.vertices
-            groups.setdefault(len(v), []).append((i, v))
-    if len(groups) == 1:  # one rule gives every row, in order
-        ((size, members),) = groups.items()
-        rule = _circle_masses if size == 0 else _polygon_masses
-        return rule(np.array([shape for _, shape in members]), m, cov)
-    out = np.empty((len(regions), len(m)))
-    for size, members in groups.items():
-        idx, shapes = zip(*members)
-        rule = _circle_masses if size == 0 else _polygon_masses
-        out[list(idx)] = rule(np.array(shapes), m, cov)
-    return out
+    @functools.cached_property
+    def cholesky(self) -> np.ndarray:
+        """The lower Cholesky factor L of ``cov``: draws are mean + z @ L.T."""
+        low = np.linalg.cholesky(self.cov)
+        low.flags.writeable = False
+        return low
 
+    @functools.cached_property
+    def whitening(self) -> np.ndarray:
+        """The inverse of the Cholesky factor, transposed, as the polygon
+        rule applies it: ``offsets @ whitening`` whitens them."""
+        low_inv_t = np.linalg.inv(self.cholesky).T
+        low_inv_t.flags.writeable = False
+        return low_inv_t
 
-def _covariance_cache(frame: Callable[[np.ndarray], tuple]) -> Callable[[np.ndarray], tuple]:
-    """``frame(cov)`` computed once per covariance: the last few are kept,
-    keyed by the bytes of the float64 matrix, and their arrays are read-only
-    since every call with that covariance shares them."""
-    @functools.lru_cache(maxsize=16)
-    def cached(key: bytes) -> tuple:
-        parts = frame(np.frombuffer(key).reshape(2, 2))
-        for part in parts:
-            if isinstance(part, np.ndarray):
-                part.flags.writeable = False
-        return parts
+    def masses(self, regions: Sequence[Region], means) -> np.ndarray:
+        """P(N(mean_j, cov) in regions[i]), shape (len(regions), len(means)).
 
-    return lambda cov: cached(np.ascontiguousarray(cov, dtype=float).tobytes())
+        The circles go through the circle rule in one call, and the
+        polygons (rectangles among them) through the polygon rule in one
+        call per vertex count.  Each mass depends only on its region, its
+        mean and ``cov``, not on what else is in the list.
+        """
+        m = np.asarray(means, dtype=float)
+        if m.ndim != 2 or m.shape[1] != 2:
+            raise ValidationError("means must have shape (n, 2)")
+        # circles as (cx, cy, radius) under key 0, polygons by vertex count
+        groups: dict[int, list[tuple]] = {}
+        for i, region in enumerate(regions):
+            if isinstance(region, Circle):
+                groups.setdefault(0, []).append((i, (region.cx, region.cy, region.radius)))
+            else:
+                v = region.vertices
+                groups.setdefault(len(v), []).append((i, v))
+        if len(groups) == 1:  # one rule gives every row, in order
+            ((size, members),) = groups.items()
+            rule = _circle_masses if size == 0 else _polygon_masses
+            return rule(np.array([shape for _, shape in members]), m, self)
+        out = np.empty((len(regions), len(m)))
+        for size, members in groups.items():
+            idx, shapes = zip(*members)
+            rule = _circle_masses if size == 0 else _polygon_masses
+            out[list(idx)] = rule(np.array(shapes), m, self)
+        return out
 
 
 def _blocked(n_shapes: int, means: np.ndarray, step: int,
@@ -307,21 +327,9 @@ def _blocked(n_shapes: int, means: np.ndarray, step: int,
     return np.clip(out, 0.0, 1.0)
 
 
-@_covariance_cache
-def _circle_frame(cov: np.ndarray) -> tuple:
-    """What the circle rule needs of ``cov``: the principal axes ``rot``,
-    the SDs ``sx`` and ``sy`` along them, the band edges -+8 sx, 8 sx,
-    8 sy and -8 sy, and the x-kernel's normalizing constant sx sqrt(2 pi),
-    each the expression the rule used to evaluate on every call."""
-    lam, rot = np.linalg.eigh(cov)
-    sx, sy = np.sqrt(lam)
-    return (rot, sx, sy, _PM * _SD_CUT * sx, _SD_CUT * sx, _SD_CUT * sy,
-            -_SD_CUT * sy, sx * np.sqrt(2.0 * np.pi))
-
-
-def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> np.ndarray:
     """Gaussian masses of circles, given as rows of (cx, cy, radius), under
-    N(mean, cov) for every row of ``means``.
+    the kernel N(mean, cov) for every row of ``means``.
 
     The rule works on rows of (circle centre minus kernel mean, radius).
     In the principal frame of ``cov`` the kernel factorizes and the
@@ -332,14 +340,12 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
     the band carry nothing and are dropped.
 
     What depends on ``cov`` alone (``eigh``'s principal frame, the band
-    limits and the kernel's normalizing constant) is computed once per
-    covariance by ``_circle_frame`` and kept for later calls.  Each mass
-    is the same expression, in the same order, as when all of it was
-    computed on every call, so it keeps its bits.
+    limits and the kernel's normalizing constant) comes from the kernel's
+    ``frame``.
     """
     from scipy.special import ndtr
     gl_x, gl_w = _gauss_legendre()
-    rot, sx, sy, x_band, x_lim, y_lim, y_low, norm = _circle_frame(cov)
+    rot, sx, sy, x_band, x_lim, y_lim, y_low, norm = kernel.frame
     # 8 cut points per row bound 7 sub-intervals of _GL_NODES nodes
     step = max(1, _EVAL_CHUNK // (7 * _GL_NODES))
 
@@ -388,17 +394,10 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, cov: np.ndarray) -> n
     return _blocked(len(circles), means, step, block)
 
 
-@_covariance_cache
-def _whitening(cov: np.ndarray) -> tuple:
-    """The inverse of ``cov``'s Cholesky factor, transposed, as the
-    polygon rule applies it: ``offsets @ low_inv_t`` whitens them."""
-    return (np.linalg.inv(np.linalg.cholesky(cov)).T,)
-
-
-def _polygon_masses(vertices: np.ndarray, means: np.ndarray, cov: np.ndarray) -> np.ndarray:
+def _polygon_masses(vertices: np.ndarray, means: np.ndarray, kernel: Gaussian) -> np.ndarray:
     """Closed-form Gaussian masses of convex polygons with the same vertex
     count (``vertices`` of shape (polygons, k, 2), counterclockwise) under
-    N(mean, cov) for every row of ``means``.
+    the kernel N(mean, cov) for every row of ``means``.
 
     Whitening by the Cholesky factor of ``cov`` maps a polygon to a
     convex polygon of the same orientation under a standard normal.  Its
@@ -408,11 +407,11 @@ def _polygon_masses(vertices: np.ndarray, means: np.ndarray, cov: np.ndarray) ->
     (atan(t_b/d) - atan(t_a/d)) / 2pi - (T(d, t_b/d) - T(d, t_a/d)),
     T being Owen's T function; the sign of d carries the triangle's
     orientation.  An edge whose line passes through the origin spans a
-    degenerate triangle and adds nothing.  The whitening is computed
-    once per covariance (``_whitening``).
+    degenerate triangle and adds nothing.  The whitening is the
+    kernel's ``whitening``.
     """
     from scipy.special import owens_t
-    (low_inv_t,) = _whitening(cov)
+    low_inv_t = kernel.whitening
     # whitened edges are the same for every kernel
     e = (np.concatenate([vertices[:, 1:], vertices[:, :1]], axis=1) - vertices) @ low_inv_t
     length = np.hypot(e[..., 0], e[..., 1])

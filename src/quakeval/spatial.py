@@ -27,7 +27,6 @@ sibling CSV (``points_ref``) rather than embedding them.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -38,8 +37,8 @@ import numpy as np
 
 from .catalog import _EventError, _read_floats, _read_table, _write_table
 from .errors import FitError, QuakevalError, ValidationError
-from .regions import (_EVAL_CHUNK, Region, contains_region, gaussian_masses,
-                      region_from_dict, sample_inside)
+from .regions import (_EVAL_CHUNK, Gaussian, Region, contains_region, region_from_dict,
+                      sample_inside)
 
 
 def _as_points(points) -> np.ndarray:
@@ -70,18 +69,17 @@ def _quad_form(pts: np.ndarray, x_c: np.ndarray, q: np.ndarray) -> np.ndarray:
             + d[:, 1] ** 2 * q[1, 1])
 
 
-def _bump_frame(q: np.ndarray) -> tuple[np.ndarray, float]:
+def _bump_frame(q: np.ndarray) -> tuple[Gaussian, float]:
     """exp(-(x - x_c)' Q (x - x_c)) is pi / sqrt(det Q) times the density of
-    N(x_c, (2Q)^-1): that covariance and that factor."""
-    return np.linalg.inv(2.0 * q), math.pi / math.sqrt(np.linalg.det(q))
+    N(x_c, (2Q)^-1): that kernel and that factor."""
+    return Gaussian(np.linalg.inv(2.0 * q)), math.pi / math.sqrt(np.linalg.det(q))
 
 
-def _bump_masses(regions: Sequence[Region], x_c: np.ndarray,
-                 frame: tuple[np.ndarray, float]) -> np.ndarray:
+def _bump_masses(regions: Sequence[Region], x_c: np.ndarray, kernel: Gaussian,
+                 factor: float) -> np.ndarray:
     """Mass of exp(-(x - x_c)' Q (x - x_c)) over each region, given the
     centre as a (1, 2) array and Q's ``_bump_frame``."""
-    cov, factor = frame
-    return factor * gaussian_masses(regions, x_c, cov)[:, 0]
+    return factor * kernel.masses(regions, x_c)[:, 0]
 
 
 class _Density:
@@ -138,10 +136,11 @@ class ParametricDensity(_Density):
         if not np.isfinite(p1) or p1 < 0:
             raise ValidationError("bump amplitude p1 must be finite and >= 0")
         self.p1 = float(p1)
-        self._bump_gauss = _bump_frame(self.q_matrix)
-        self._bump_mean = self.x_c.reshape(1, 2)  # the centre as gaussian_masses takes it
+        self._bump, self._bump_scale = _bump_frame(self.q_matrix)
+        self._bump_mean = self.x_c.reshape(1, 2)  # the centre as the kernel's masses take it
         self.bump_mass = 0.0 if self.p1 == 0.0 \
-            else float(_bump_masses([region], self._bump_mean, self._bump_gauss)[0])
+            else float(_bump_masses([region], self._bump_mean, self._bump,
+                                     self._bump_scale)[0])
         weight = self.p1 * self.bump_mass
         if weight > 1.0 + 1e-9:
             raise ValidationError(
@@ -157,7 +156,7 @@ class ParametricDensity(_Density):
         if weight == 0.0:
             return cls(x_c, q_matrix, 0.0, region)
         mass = _bump_masses([region], np.reshape(np.asarray(x_c, dtype=float), (1, 2)),
-                            _bump_frame(_check_spd(q_matrix, "Q")))[0]
+                            *_bump_frame(_check_spd(q_matrix, "Q")))[0]
         if not mass > 0.0:
             raise ValidationError("the bump has no mass inside the region to carry "
                                   f"weight {weight:g}")
@@ -178,21 +177,15 @@ class ParametricDensity(_Density):
         return self.p0 + self.p1 * np.exp(-_quad_form(pts, self.x_c, self.q_matrix))
 
     def _masses(self, regions: Sequence[Region]) -> np.ndarray:
-        """The bump's masses come from one ``gaussian_masses`` call."""
+        """The bump's masses come from one call of its kernel's ``masses``."""
         mass = self.p0 * np.array([r.area for r in regions], dtype=float)
         if self.p1 > 0:
-            mass += self.p1 * _bump_masses(regions, self._bump_mean, self._bump_gauss)
+            mass += self.p1 * _bump_masses(regions, self._bump_mean, self._bump,
+                                            self._bump_scale)
         return mass
 
     def log_likelihood(self, points) -> float:
         return float(np.sum(np.log(np.clip(self.evaluate(points), 1e-300, None))))
-
-    @functools.cached_property
-    def _bump_factor(self) -> np.ndarray:
-        """L^T for the Cholesky factor L of the bump's covariance inv(2Q):
-        bump draws are x_c + z @ L^T.  Computed on the first bump draw, so
-        densities that are only evaluated never pay for it."""
-        return np.linalg.cholesky(np.linalg.inv(2.0 * self.q_matrix)).T
 
     def sample_rng(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` points using an existing generator."""
@@ -204,7 +197,7 @@ class ParametricDensity(_Density):
         if n_unif:
             out[np.flatnonzero(~comp_bump)] = self.region.sample_uniform(n_unif, rng)
         if n_bump:
-            factor = self._bump_factor
+            factor = self._bump.cholesky.T
 
             def propose(remaining: int) -> np.ndarray:
                 z = rng.standard_normal((max(64, 2 * remaining), 2))
@@ -249,14 +242,14 @@ class KernelDensity(_Density):
             k = int(outside[0])
             raise _EventError(k, f"kernel point ({self.points[k, 0]:g}, {self.points[k, 1]:g}) "
                                  "lies outside the model's region", "point")
-        self.bandwidth = _check_spd(bandwidth, "bandwidth")
+        self._kernel = Gaussian(_check_spd(bandwidth, "bandwidth"))
+        self.bandwidth = self._kernel.cov
         self._h_inv = np.linalg.inv(self.bandwidth)
         self._norm_kernel = 1.0 / (2.0 * np.pi * math.sqrt(np.linalg.det(self.bandwidth)))
         self.normalization = float(self._raw_masses([region])[0])
         if self.normalization <= 1e-12:
             raise ValidationError("kernel mass inside the region is numerically zero")
         self.points.flags.writeable = False
-        self.bandwidth.flags.writeable = False
 
     def _values(self, pts: np.ndarray) -> np.ndarray:
         """Mixture mean of kernels over the normalization, in blocks."""
@@ -274,20 +267,20 @@ class KernelDensity(_Density):
 
     def _raw_masses(self, regions: Sequence[Region]) -> np.ndarray:
         """Unnormalized kernel mass of each region: its mean kernel mass.
-        Regions go to ``gaussian_masses`` in runs small enough that the
+        Regions go to the kernel's ``masses`` in runs small enough that the
         (regions, kernels) table stays within ``_EVAL_CHUNK`` entries."""
         out = np.empty(len(regions))
         step = max(1, _EVAL_CHUNK // len(self.points))
         for start in range(0, len(regions), step):
-            out[start:start + step] = gaussian_masses(
-                regions[start:start + step], self.points, self.bandwidth).mean(axis=1)
+            out[start:start + step] = self._kernel.masses(
+                regions[start:start + step], self.points).mean(axis=1)
         return out
 
     def _masses(self, regions: Sequence[Region]) -> np.ndarray:
         return self._raw_masses(regions) / self.normalization
 
     def sample_rng(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        chol = np.linalg.cholesky(self.bandwidth)
+        chol = self._kernel.cholesky
 
         def propose(remaining: int) -> np.ndarray:
             m = max(64, 2 * remaining)
@@ -356,11 +349,11 @@ def _fit_objective(pts: np.ndarray, region: Region):
     The data term's gradient is analytic.  Of log(bump mass)
     = log(pi) - log L00 - log L11 + log G, with G the mass of
     N(x_c, (2Q)^-1) in the region, only log G is differenced centrally:
-    the base mass and the four centre shifts share one covariance and
-    one ``gaussian_masses`` call, then one call per shifted Cholesky
-    entry.  A degenerate covariance scores n (log A + 1), above the
-    start's value (at most n log 2A at weight 1/2), so no search accepts
-    it.
+    the base mass and the four centre shifts share one kernel and one
+    call of its ``masses``, then each shifted Cholesky entry gives a
+    kernel of its own.  A degenerate covariance scores n (log A + 1),
+    above the start's value (at most n log 2A at weight 1/2), so no
+    search accepts it.
     """
     n = len(pts)
     x, y = pts[:, 0], pts[:, 1]
@@ -368,7 +361,7 @@ def _fit_objective(pts: np.ndarray, region: Region):
     penalty = n * (log_area + 1.0)
 
     def log_g(means, cov) -> np.ndarray:
-        return np.log(np.maximum(gaussian_masses([region], means, cov)[0], _MASS_FLOOR))
+        return np.log(np.maximum(Gaussian(cov).masses([region], means)[0], _MASS_FLOOR))
 
     def objective(theta) -> tuple[float, np.ndarray]:
         cx, cy, s1, s2, l21, u = (float(v) for v in theta)

@@ -359,6 +359,21 @@ def _write_predictions(tmp_path, rows, sidecar=None):
     return args
 
 
+@pytest.mark.parametrize("command", ["significance", "enhancement"])
+@pytest.mark.parametrize("hits", [True, False])
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "0.5", "2", "-1"])
+def test_alpha_outside_its_range_exits_2(tmp_path, capsys, command, hits, alpha):
+    """Refused before any scoring, whether or not an alarm succeeds."""
+    preds = (["--predictions", PRED] if hits
+             else _write_predictions(tmp_path, ["0,0,1,100,100,1,3.0"]))
+    out = tmp_path / "report.json"
+    code = run([command, *_base_args(), *preds, "--alpha", alpha, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "alpha must lie in (0, 0.5)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_significance_with_zero_null_variance(tmp_path, capsys):
     # a full-record alarm over the whole region succeeds with probability 1,
     # a zero-duration one with probability 0: the normal variance is zero

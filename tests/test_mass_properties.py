@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from quakeval import (Circle, ConvexPolygon, KernelDensity, ParametricDensity,
                       Rectangle)
-from quakeval.regions import gaussian_masses
+from quakeval.regions import Gaussian
 
 STUDY = Rectangle(0.0, 1000.0, 0.0, 1000.0)
 CORNERS = np.array([[0.0, 0.0], [1000.0, 0.0], [1000.0, 1000.0], [0.0, 1000.0]])
@@ -85,7 +85,7 @@ def test_circle_mass_bracketed_by_polygons(cov, means, cx, cy, radius):
     ring = np.column_stack([np.cos(phi), np.sin(phi)])
     inner = ConvexPolygon([cx, cy] + radius * ring)
     outer = ConvexPolygon([cx, cy] + radius / math.cos(np.pi / 1024) * ring)
-    masses = [gaussian_masses([shape], means, cov)[0] for shape in (inner, circle, outer)]
+    masses = [Gaussian(cov).masses([shape], means)[0] for shape in (inner, circle, outer)]
     for m in masses:
         assert np.all((m >= 0.0) & (m <= 1.0))
     assert np.all(masses[0] <= masses[1] + 1e-12)

@@ -178,6 +178,36 @@ def test_empirical_tau_moments_match_closed_form():
         empirical_tau_moments(0.0, n, span, 1)
 
 
+def _waits_by_masking(ev, t, span):
+    """The next-event wait by its first expression: the smallest event at
+    or after the signal, less the signal time, or span - t when none
+    follows."""
+    nxt = np.where(ev >= t[..., None], ev, np.inf).min(axis=-1)
+    return np.where(np.isfinite(nxt), nxt - t, span - t)
+
+
+def test_next_event_waits_equal_the_masked_minimum():
+    """300 seeded cases with ties, signals at 0 and at the span's end,
+    and records with no event after the signal."""
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        span = float(rng.choice([1.0, 1000.0, 3650.0]))
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+        ev = rng.random((rows, 1, cols)) * span
+        t = rng.choice([0.0, span, *(rng.random(3) * span)], size=(rows, 1))
+        tie = rng.random(ev.shape) < 0.1
+        ev[tie] = np.broadcast_to(t[..., None], ev.shape)[tie]
+        got = mc._next_event_waits(ev, t, span)
+        assert got.tobytes() == _waits_by_masking(ev, t, span).tobytes()
+
+
+def test_empirical_tau_moments_keep_the_masked_minimum(monkeypatch):
+    cases = [(t, n) for t in (0.0, 0.25, 500.0, 999.9, 1000.0) for n in (2, 12)]
+    got = [empirical_tau_moments(t, n, 1000.0, 3000, seed=9) for t, n in cases]
+    monkeypatch.setattr(mc, "_next_event_waits", _waits_by_masking)
+    assert got == [empirical_tau_moments(t, n, 1000.0, 3000, seed=9) for t, n in cases]
+
+
 def test_null_zscores_reproducible():
     a = null_zscores(20, 50, 1000.0, 50, seed=31)
     b = null_zscores(20, 50, 1000.0, 50, seed=31)

@@ -9,7 +9,7 @@ from scipy.special import chndtr, ndtr
 from quakeval import (Circle, ConvexPolygon, KernelDensity, ParametricDensity,
                       Rectangle, ValidationError, contains_region, region_from_dict,
                       spatial)
-from quakeval.regions import gaussian_masses
+from quakeval.regions import Gaussian
 
 
 def test_rectangle_basics():
@@ -26,6 +26,23 @@ def test_rectangle_rejects_empty():
         Rectangle(1.0, 1.0, 0.0, 2.0)
     with pytest.raises(ValidationError):
         Rectangle(0.0, 1.0, 3.0, 2.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda bad: Rectangle(0.0, bad, 0.0, 1.0), "rectangle bounds must be finite"),
+    (lambda bad: Rectangle(bad, 1.0, 0.0, 1.0), "rectangle bounds must be finite"),
+    (lambda bad: Circle(0.0, bad, 1.0), "circle parameters must be finite"),
+    (lambda bad: Circle(0.0, 0.0, bad), "circle parameters must be finite"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(np.nan)])
+def test_shapes_reject_non_finite_parameters(make, message, bad):
+    with pytest.raises(ValidationError, match=message):
+        make(bad)
+
+
+def test_shapes_take_numpy_scalars():
+    assert Circle(np.float64(1.0), np.float32(2.0), np.int64(3)).area == pytest.approx(9 * math.pi)
+    assert Rectangle(np.float64(0.0), 2, np.int32(0), np.float64(1.5)).area == 3.0
 
 
 def test_circle_area_and_contains():
@@ -164,7 +181,7 @@ def test_rectangle_gaussian_mass_matches_ndtr_product():
     means = _polygon_probes([[100, 200], [400, 200], [400, 350], [100, 350]])
     for sx in SDS:
         for sy in SDS:
-            got = gaussian_masses([RECT], means, np.diag([sx * sx, sy * sy]))[0]
+            got = Gaussian(np.diag([sx * sx, sy * sy])).masses([RECT], means)[0]
             px = ndtr((RECT.x_max - means[:, 0]) / sx) - ndtr((RECT.x_min - means[:, 0]) / sx)
             py = ndtr((RECT.y_max - means[:, 1]) / sy) - ndtr((RECT.y_min - means[:, 1]) / sy)
             assert np.abs(got - px * py).max() <= 1e-12, (sx, sy)
@@ -177,7 +194,7 @@ def test_circle_gaussian_mass_matches_chndtr():
                       [500.0 + rim, 500.0 - rim], [500.0, 800.5], [500.0, 199.0]])
     dist2 = (means[:, 0] - DISC.cx) ** 2 + (means[:, 1] - DISC.cy) ** 2
     for s in SDS:
-        got = gaussian_masses([DISC], means, np.eye(2) * s * s)[0]
+        got = Gaussian(np.eye(2) * s * s).masses([DISC], means)[0]
         want = chndtr((DISC.radius / s) ** 2, 2, dist2 / s ** 2)
         assert np.abs(got - want).max() <= 1e-12, s
 
@@ -186,8 +203,8 @@ def test_polygon_gaussian_mass_matches_whitened_dblquad():
     means = _polygon_probes(POLY.vertices)
     repeated = ConvexPolygon(np.insert(POLY.vertices, 1, POLY.vertices[1], axis=0))
     for cov in _covariances():
-        got = gaussian_masses([POLY], means, cov)[0]
-        assert np.abs(gaussian_masses([repeated], means, cov)[0] - got).max() <= 1e-15
+        got = Gaussian(cov).masses([POLY], means)[0]
+        assert np.abs(Gaussian(cov).masses([repeated], means)[0] - got).max() <= 1e-15
         for mean, mass in zip(means, got):
             assert mass == pytest.approx(_whitened_polygon_mass(POLY.vertices, mean, cov),
                                          abs=1e-10), (cov.tolist(), mean)
@@ -197,7 +214,7 @@ def test_correlated_rectangle_matches_whitened_dblquad():
     corners = [[100, 200], [400, 200], [400, 350], [100, 350]]
     means = _polygon_probes(corners)
     for cov in _covariances():
-        got = gaussian_masses([RECT], means, cov)[0]
+        got = Gaussian(cov).masses([RECT], means)[0]
         for mean, mass in zip(means, got):
             assert mass == pytest.approx(_whitened_polygon_mass(corners, mean, cov),
                                          abs=1e-10), (cov.tolist(), mean)
@@ -208,7 +225,7 @@ def test_correlated_circle_matches_whitened_dblquad():
     means = np.array([[500.0, 500.0], [610.0, 430.0], [500.0 + rim, 500.0 + rim],
                       [500.0 - rim, 500.0 + rim], [800.5, 500.0]])
     for cov in _covariances():
-        got = gaussian_masses([DISC], means, cov)[0]
+        got = Gaussian(cov).masses([DISC], means)[0]
         for mean, mass in zip(means, got):
             assert mass == pytest.approx(_whitened_circle_mass(DISC, mean, cov),
                                          abs=1e-10), (cov.tolist(), mean)
@@ -274,14 +291,34 @@ def test_gaussian_masses_batch_matches_oracles_in_input_order():
     equals the one-region call bit for bit."""
     sd = 90.0
     means = np.array([[500.0, 500.0], [640.0, 150.0], [250.0, 820.0]])
-    got = gaussian_masses(MIXED, means, np.eye(2) * sd * sd)
+    got = Gaussian(np.eye(2) * sd * sd).masses(MIXED, means)
     assert got.shape == (len(MIXED), len(means))
     for region, row in zip(MIXED, got):
-        assert np.array_equal(row, gaussian_masses([region], means, np.eye(2) * sd * sd)[0])
+        assert np.array_equal(row, Gaussian(np.eye(2) * sd * sd).masses([region], means)[0])
         for mean, mass in zip(means, row):
             assert mass == pytest.approx(_isotropic_mass(region, mean, sd),
                                          abs=_tolerance(region)), (region, mean)
-    assert gaussian_masses([], means, np.eye(2)).shape == (0, 3)
+    assert Gaussian(np.eye(2)).masses([], means).shape == (0, 3)
+
+
+def test_gaussian_kernel_keeps_read_only_arrays_and_reuses_them():
+    kernel = Gaussian([[900.0, 300.0], [300.0, 400.0]])
+    first = kernel.masses(MIXED, [[500.0, 500.0]])
+    frame, low, white = kernel.frame, kernel.cholesky, kernel.whitening
+    assert np.array_equal(kernel.masses(MIXED, [[500.0, 500.0]]), first)
+    assert kernel.frame is frame and kernel.cholesky is low and kernel.whitening is white
+    arrays = [kernel.cov, low, white, *(p for p in frame if isinstance(p, np.ndarray))]
+    assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
+    assert np.array_equal(low, np.linalg.cholesky(kernel.cov))
+    assert np.array_equal(white, np.linalg.inv(np.linalg.cholesky(kernel.cov)).T)
+
+
+def test_gaussian_kernel_keeps_its_own_covariance():
+    cov = np.array([[900.0, 300.0], [300.0, 400.0]])
+    kernel = Gaussian(cov)
+    before = kernel.masses(MIXED, [[500.0, 500.0]])
+    cov *= 4.0
+    assert np.array_equal(kernel.masses(MIXED, [[500.0, 500.0]]), before)
 
 
 def test_parametric_masses_match_oracles_in_input_order():
@@ -333,8 +370,8 @@ def test_masses_on_a_score_sized_circle_set_match_the_per_circle_loop():
     d = ParametricDensity.from_mixture([620.0, 380.0], np.linalg.inv(2.0 * cov), 0.4, STUDY)
     loop = np.array([d.integrate(c) for c in circles])
     assert np.abs(d.masses(circles) - loop).max() <= 1e-15
-    many = gaussian_masses(circles, [[620.0, 380.0]], cov)[:, 0]
-    one = np.array([gaussian_masses([c], [[620.0, 380.0]], cov)[0, 0] for c in circles])
+    many = Gaussian(cov).masses(circles, [[620.0, 380.0]])[:, 0]
+    one = np.array([Gaussian(cov).masses([c], [[620.0, 380.0]])[0, 0] for c in circles])
     assert np.abs(many - one).max() <= 1e-15
 
 

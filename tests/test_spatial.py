@@ -10,7 +10,7 @@ from quakeval import (Circle, ConvexPolygon, FitError, KernelDensity,
                       ValidationError, fit_kde, fit_parametric, load_density,
                       save_density)
 from quakeval import spatial
-from quakeval.regions import gaussian_masses
+from quakeval.regions import Gaussian, sample_inside
 
 REGION = Rectangle(0.0, 200.0, 0.0, 200.0)
 Q = np.array([[0.004, 0.001], [0.001, 0.003]])
@@ -152,6 +152,63 @@ def test_kde_sampling_inside_region():
     assert np.array_equal(pts, kde.sample(500, seed=8))
 
 
+def test_kde_draws_use_the_bandwidths_cholesky_factor():
+    """Draws equal a reference built inline from np.linalg.cholesky of the
+    bandwidth, with points near the edge so that proposals get refused."""
+    rng = np.random.default_rng(6)
+    points = np.vstack([rng.uniform(50, 150, (60, 2)), rng.uniform(1, 12, (20, 2))])
+    kde = KernelDensity(points, [[90.0, 30.0], [30.0, 60.0]], REGION)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(8)))
+    chol = np.linalg.cholesky(kde.bandwidth)
+
+    def propose(remaining):
+        m = max(64, 2 * remaining)
+        base = kde.points[gen.integers(0, len(kde.points), m)]
+        return base + gen.standard_normal((m, 2)) @ chol.T
+
+    want = sample_inside(REGION, 3000, propose)
+    assert kde.sample(3000, seed=8).tobytes() == want.tobytes()
+    assert kde.sample(3000, seed=8).tobytes() == want.tobytes()
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of the named ``np.linalg`` functions."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_each_kernel_is_factorized_at_most_once(monkeypatch):
+    """100 integrate calls over circles and polygons, and draws, run eigh
+    at most once and Cholesky at most once on a density's one kernel."""
+    rng = np.random.default_rng(12)
+    densities = [ParametricDensity.from_mixture([100.0, 100.0], Q, 0.6, REGION),
+                 KernelDensity(rng.uniform(20, 180, (50, 2)), [[90.0, 30.0], [30.0, 60.0]],
+                               REGION)]
+    shapes = [Circle(*rng.uniform(40, 160, 2), rng.uniform(5, 30)) for _ in range(50)]
+    shapes += [ConvexPolygon(np.array([[0, 0], [30, 0], [10, 20]]) + rng.uniform(20, 150, 2))
+               for _ in range(25)]
+    shapes += [Rectangle(x, x + 20, y, y + 30) for x, y in rng.uniform(10, 150, (25, 2))]
+    calls = _counting(monkeypatch, ["eigh", "cholesky"])
+    for density in densities:
+        calls.update(eigh=0, cholesky=0)
+        masses = [density.integrate(shape) for shape in shapes]
+        density.sample(300, seed=1)
+        density.sample(300, seed=2)
+        assert calls["eigh"] <= 1 and calls["cholesky"] <= 1, (density, calls)
+        assert masses == [density.integrate(shape) for shape in shapes]
+    kernel = Gaussian(np.linalg.inv(2.0 * Q))
+    calls.update(eigh=0, cholesky=0)
+    for shape in shapes:
+        kernel.masses([shape], [[100.0, 100.0]])
+    assert kernel.cholesky.shape == (2, 2)
+    assert calls == {"eigh": 1, "cholesky": 1}
+
+
 def test_fit_parametric_recovers_planted_bump():
     truth = ParametricDensity.from_mixture([120.0, 80.0], Q, 0.6, REGION)
     pts = truth.sample(2000, seed=11)
@@ -264,7 +321,7 @@ def _reference_fit(pts, region):
             return np.inf
         centre, q, _ = unpack(theta)
         try:
-            gauss = gaussian_masses([region], centre[None], np.linalg.inv(2.0 * q))[0, 0]
+            gauss = Gaussian(np.linalg.inv(2.0 * q)).masses([region], centre[None])[0, 0]
         except np.linalg.LinAlgError:
             return np.inf
         bump_mass = math.pi / math.sqrt(np.linalg.det(q)) * gauss
