@@ -46,7 +46,10 @@ _EDGE_TOL = 1e-9
 _EVAL_CHUNK = 4_000_000  # elements per temporary array in blocked kernel work
 _SD_CUT = 8.0  # a Gaussian carries 1.2e-15 of its mass beyond 8 SD
 _PM = np.array([-1.0, 1.0])
+_HALF_TURN = np.array([-0.5 * np.pi, 0.5 * np.pi])  # the ends of the circle rule's angles
 _GL_NODES = 64  # Gauss-Legendre nodes per sub-interval of the circle rule
+# the first half of the nodes, then the same in reverse
+_MIRROR = np.concatenate([np.arange(_GL_NODES // 2), np.arange(_GL_NODES // 2)[::-1]])
 
 
 @functools.cache
@@ -57,6 +60,19 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = roots_legendre(_GL_NODES)
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
+
+
+@functools.cache
+def _half_circle_nodes() -> tuple[np.ndarray, np.ndarray]:
+    """sin and cos of the circle rule's nodes on the whole half-circle
+    [-pi/2, pi/2], read-only.  The angles are formed as the rule forms
+    them for a row with centre 0.0 and half-width pi/2, and taken by the
+    same ufuncs on a contiguous array, so each value has the rule's bits."""
+    gl_x, _ = _gauss_legendre()
+    theta = 0.0 + (0.5 * np.pi) * gl_x
+    sin, cos = np.sin(theta), np.cos(theta)
+    sin.flags.writeable = cos.flags.writeable = False
+    return sin, cos
 
 
 @dataclass(frozen=True)
@@ -342,12 +358,41 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> 
     What depends on ``cov`` alone (``eigh``'s principal frame, the band
     limits and the kernel's normalizing constant) comes from the kernel's
     ``frame``.
+
+    A row whose circle lies inside the band has one live sub-interval,
+    the whole half-circle: centre exactly 0.0 and half-width exactly
+    pi/2, so its angles are always 0.0 + (pi/2) x for the nodes x.  In a
+    call of more than one row, such rows take sin and cos from
+    ``_half_circle_nodes``, computed once by the same ufuncs from the
+    same angles, so the values carry the same bits.  The nodes are
+    exactly antisymmetric and cos is exactly even, so node n - 1 - i has
+    node i's chord and the chord's y-mass is computed for the first half
+    of the nodes and mirrored.  Every other row, and a call of one row,
+    takes sin, cos and ``ndtr`` at each node; each row's sum is formed
+    alike either way, so no mass changes by a bit.
     """
     from scipy.special import ndtr
     gl_x, gl_w = _gauss_legendre()
     rot, sx, sy, x_band, x_lim, y_lim, y_low, norm = kernel.frame
     # 8 cut points per row bound 7 sub-intervals of _GL_NODES nodes
     step = max(1, _EVAL_CHUNK // (7 * _GL_NODES))
+
+    def nodes(centre: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        theta = centre + half * gl_x
+        return np.sin(theta), np.cos(theta)
+
+    def integrand(ox, oy, r, sin, cos, mirrored: bool) -> np.ndarray:
+        """The integrand at each row's nodes: the x-kernel times the
+        chord's y-mass times the chord's half-length."""
+        x = ox + r * sin
+        chord = r * cos
+        if mirrored:  # node n - 1 - i has node i's chord, so its y-mass too
+            near = chord[:, :_GL_NODES // 2]
+            y_mass = ndtr((oy + near) / sy) - ndtr((oy - near) / sy)
+            y_mass = y_mass.take(_MIRROR, axis=1)
+        else:
+            y_mass = ndtr((oy + chord) / sy) - ndtr((oy - chord) / sy)
+        return np.exp(-0.5 * (x / sx) ** 2) / norm * y_mass * chord
 
     def block(shapes: slice, m: np.ndarray) -> np.ndarray:
         c = circles[shapes]
@@ -362,8 +407,7 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> 
         # cosines go to fresh arrays first: numpy may take another loop,
         # with other rounding, for a strided output.
         cuts = np.empty((len(o), 8))
-        cuts[:, 0] = -0.5 * np.pi
-        cuts[:, 1] = 0.5 * np.pi
+        cuts[:, :2] = _HALF_TURN
         cuts[:, 2:4] = np.arcsin(np.minimum(np.maximum((x_band - ox) / r, -1.0), 1.0))
         y_cos = np.abs(y_lim + _PM * oy) / r
         cuts[:, 4:6] = np.arccos(np.minimum(y_cos, 1.0))
@@ -379,12 +423,25 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> 
         if not len(k):  # every sub-interval lies outside the band
             return np.zeros((len(c), len(m)))
         centre, half = mid[k, j, None], 0.5 * (hi - lo)[k, j, None]
-        theta = centre + half * gl_x
-        rk, oyk = r[k], oy[k]
-        x = ox[k] + rk * np.sin(theta)
-        chord = rk * np.cos(theta)
-        f = (np.exp(-0.5 * (x / sx) ** 2) / norm
-             * (ndtr((oyk + chord) / sy) - ndtr((oyk - chord) / sy)) * chord)
+        oxk, oyk, rk = ox[k], oy[k], r[k]
+        # rows on the whole half-circle [-pi/2, pi/2] take the tables.  A
+        # call of one row keeps the per-node path: telling the row's kind
+        # costs about what the tables save on one row.
+        n_whole = 0
+        if len(k) > 1:
+            whole = (centre[:, 0] == 0.0) & (half[:, 0] == 0.5 * np.pi)
+            n_whole = np.count_nonzero(whole)
+        if n_whole == len(k):
+            f = integrand(oxk, oyk, rk, *_half_circle_nodes(), mirrored=True)
+        elif not n_whole:
+            f = integrand(oxk, oyk, rk, *nodes(centre, half), mirrored=False)
+        else:
+            f = np.empty((len(k), _GL_NODES))
+            f[whole] = integrand(oxk[whole], oyk[whole], rk[whole], *_half_circle_nodes(),
+                                 mirrored=True)
+            cut = ~whole
+            f[cut] = integrand(oxk[cut], oyk[cut], rk[cut], *nodes(centre[cut], half[cut]),
+                               mirrored=False)
         # a sum per row, not a BLAS matrix product, whose rounding would
         # depend on how many rows share the call
         mass = np.bincount(k, weights=np.einsum("ij,j->i", f, gl_w) * half[:, 0],

@@ -128,24 +128,37 @@ class ParametricDensity(_Density):
     """
 
     def __init__(self, x_c, q_matrix, p1: float, region: Region):
+        self._set_bump(x_c, q_matrix, region)
+        self._set_amplitude(p1)
+
+    def _set_bump(self, x_c, q_matrix, region: Region) -> None:
+        """Check the centre and Q, and derive the bump's kernel once."""
         self.region = region
         self.x_c = np.asarray(x_c, dtype=float).reshape(2)
         if not np.isfinite(self.x_c).all():
             raise ValidationError("bump centre must be finite")
         self.q_matrix = _check_spd(q_matrix, "Q")
+        self._bump, self._bump_scale = _bump_frame(self.q_matrix)
+        self._bump_mean = self.x_c.reshape(1, 2)  # the centre as the kernel's masses take it
+
+    def _region_bump_mass(self) -> float:
+        return float(_bump_masses([self.region], self._bump_mean, self._bump,
+                                  self._bump_scale)[0])
+
+    def _set_amplitude(self, p1: float, bump_mass: float | None = None) -> None:
+        """Set p1 and the floor that normalizes the density; ``bump_mass``
+        is the bump's mass in the region when the caller has it."""
         if not np.isfinite(p1) or p1 < 0:
             raise ValidationError("bump amplitude p1 must be finite and >= 0")
         self.p1 = float(p1)
-        self._bump, self._bump_scale = _bump_frame(self.q_matrix)
-        self._bump_mean = self.x_c.reshape(1, 2)  # the centre as the kernel's masses take it
-        self.bump_mass = 0.0 if self.p1 == 0.0 \
-            else float(_bump_masses([region], self._bump_mean, self._bump,
-                                     self._bump_scale)[0])
+        if bump_mass is None:
+            bump_mass = 0.0 if self.p1 == 0.0 else self._region_bump_mass()
+        self.bump_mass = bump_mass
         weight = self.p1 * self.bump_mass
         if weight > 1.0 + 1e-9:
             raise ValidationError(
                 f"bump carries probability {weight:.6f} > 1; reduce p1")
-        self.p0 = max((1.0 - weight) / region.area, 0.0)
+        self.p0 = max((1.0 - weight) / self.region.area, 0.0)
         for arr in (self.x_c, self._bump_mean, self.q_matrix):
             arr.flags.writeable = False
 
@@ -153,14 +166,17 @@ class ParametricDensity(_Density):
     def from_mixture(cls, x_c, q_matrix, weight: float, region: Region) -> "ParametricDensity":
         if not 0.0 <= weight <= 1.0:
             raise ValidationError("bump weight must lie in [0, 1]")
+        density = cls.__new__(cls)
+        density._set_bump(x_c, q_matrix, region)
         if weight == 0.0:
-            return cls(x_c, q_matrix, 0.0, region)
-        mass = _bump_masses([region], np.reshape(np.asarray(x_c, dtype=float), (1, 2)),
-                            *_bump_frame(_check_spd(q_matrix, "Q")))[0]
+            density._set_amplitude(0.0)
+            return density
+        mass = density._region_bump_mass()
         if not mass > 0.0:
             raise ValidationError("the bump has no mass inside the region to carry "
                                   f"weight {weight:g}")
-        return cls(x_c, q_matrix, weight / mass, region)
+        density._set_amplitude(weight / mass, mass)
+        return density
 
     @classmethod
     def uniform(cls, region: Region) -> "ParametricDensity":

@@ -7,6 +7,14 @@ inputs by paths relative to the repository root, so the reports' config
 paths match too.  To regenerate after an intended change of output, run
 each argv with ``quakeval`` from the repository root, with ``--out`` (and
 ``--samples-out``) pointing at the golden files.
+
+The bytes depend on numpy's SIMD dispatch, which picks the code that
+evaluates sin, cos, exp and other ufuncs, and with it their rounding in
+the last bits.  The files were made under AVX-512 dispatch (numpy 2.4 on
+x86-64); with ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"``
+13 of the 23 cases differ in their last digits, so a machine without
+AVX-512 may fail them although every number agrees to rounding.  CI
+prints ``numpy.show_runtime()`` before these runs for that reason.
 """
 
 from pathlib import Path

@@ -209,6 +209,31 @@ def test_each_kernel_is_factorized_at_most_once(monkeypatch):
     assert calls == {"eigh": 1, "cholesky": 1}
 
 
+def test_from_mixture_derives_and_factorizes_its_bump_once(monkeypatch):
+    """``from_mixture`` builds one bump kernel: the check that Q is positive
+    definite and the kernel's own factor are its only Cholesky runs.  The
+    density equals one built from the amplitude that the weight implies."""
+    kernel, factor = spatial._bump_frame(Q)
+    mass = spatial._bump_masses([REGION], np.array([[100.0, 100.0]]), kernel, factor)[0]
+    want = ParametricDensity([100.0, 100.0], Q, 0.6 / mass, REGION)
+    built = []
+
+    class Counted(Gaussian):
+        def __init__(self, cov):
+            built.append(cov)
+            super().__init__(cov)
+
+    monkeypatch.setattr(spatial, "Gaussian", Counted)
+    calls = _counting(monkeypatch, ["eigh", "cholesky", "inv"])
+    got = ParametricDensity.from_mixture([100.0, 100.0], Q, 0.6, REGION)
+    assert len(built) == 1 and calls == {"eigh": 0, "cholesky": 2, "inv": 2}
+    assert (got.p0, got.p1, got.bump_mass) == (want.p0, want.p1, want.bump_mass)
+    assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+    assert got.integrate(Circle(90.0, 110.0, 30.0)) == want.integrate(Circle(90.0, 110.0, 30.0))
+    uniform = ParametricDensity.from_mixture([100.0, 100.0], Q, 0.0, REGION)
+    assert (uniform.p1, uniform.bump_mass, uniform.p0) == (0.0, 0.0, 1.0 / REGION.area)
+
+
 def test_fit_parametric_recovers_planted_bump():
     truth = ParametricDensity.from_mixture([120.0, 80.0], Q, 0.6, REGION)
     pts = truth.sample(2000, seed=11)
