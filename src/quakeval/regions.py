@@ -23,7 +23,13 @@ not depend on how narrow the kernel is against the shape:
   cut at the kernel's +-8 SD band, with the chord's mass exact in
   ``ndtr``: absolute error below 1e-12 for SDs from 0.2 km to 400 km,
   correlations to +-0.9 and kernels anywhere on or off the circle; the
-  dropped tails hold under 3e-15.
+  dropped tails hold under 3e-15.  Each (circle, mean) row is first
+  classed from the circle's offset and radius alone: inside the band
+  (integrated over the whole half-circle from tabled nodes), beyond it
+  (mass exactly 0, once it clears the band by a slack of 1e-12 of its
+  distance plus radius) or cut by it (the only rows that find their cut
+  points).  The classes only skip work whose outcome is already known,
+  so no mass moves by a bit.
 
 Masses are clipped to [0, 1].  Tests check them against ``ndtr``
 products, ``chndtr`` and ``dblquad`` on the whitened problem.  The
@@ -48,6 +54,9 @@ _SD_CUT = 8.0  # a Gaussian carries 1.2e-15 of its mass beyond 8 SD
 _PM = np.array([-1.0, 1.0])
 _HALF_TURN = np.array([-0.5 * np.pi, 0.5 * np.pi])  # the ends of the circle rule's angles
 _GL_NODES = 64  # Gauss-Legendre nodes per sub-interval of the circle rule
+# a circle is beyond the band only when it clears it by this much of its
+# distance plus radius along the axis, far above their rounding
+_BAND_SLACK = 1e-12
 # the first half of the nodes, then the same in reverse
 _MIRROR = np.concatenate([np.arange(_GL_NODES // 2), np.arange(_GL_NODES // 2)[::-1]])
 
@@ -182,15 +191,26 @@ class ConvexPolygon:
             signed = -signed
         if signed <= 0:
             raise ValidationError("polygon vertices are collinear")
-        edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+        edges = _next(v) - v
+        following = _next(edges)
+        cross = edges[:, 0] * following[:, 1] - edges[:, 1] * following[:, 0]
         scale = float(np.abs(edges).max())
         if np.any(cross < -_EDGE_TOL * scale * scale):
             raise ValidationError("polygon is not convex")
         self._v = v
         self._v.flags.writeable = False
         self._area = signed
+        self._bbox = (float(v[:, 0].min()), float(v[:, 0].max()),
+                      float(v[:, 1].min()), float(v[:, 1].max()))
+        # one row per edge from vertex a: a's coordinates, the edge and the
+        # signed-distance threshold of ``contains``, as columns that
+        # broadcast against a row of points
+        xmin, xmax, ymin, ymax = self._bbox
+        tol = _EDGE_TOL * max(xmax - xmin, ymax - ymin, 1.0)
+        self._ax, self._ay = v[:, :1], v[:, 1:]
+        self._ex, self._ey = edges[:, :1], edges[:, 1:]
+        self._edge_min = -tol * np.maximum(np.maximum(np.abs(self._ex), np.abs(self._ey)), 1.0)
+        self._edge_len = np.hypot(self._ex, self._ey)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -202,28 +222,19 @@ class ConvexPolygon:
 
     @property
     def bounding_box(self) -> tuple[float, float, float, float]:
-        return (float(self._v[:, 0].min()), float(self._v[:, 0].max()),
-                float(self._v[:, 1].min()), float(self._v[:, 1].max()))
+        return self._bbox
 
     def contains(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        xmin, xmax, ymin, ymax = self.bounding_box
-        tol = _EDGE_TOL * max(xmax - xmin, ymax - ymin, 1.0)
-        inside = np.ones(np.broadcast(x, y).shape, dtype=bool)
-        for a, b in zip(self._v, np.roll(self._v, -1, axis=0)):
-            inside &= ((b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
-                       >= -tol * max(abs(b[0] - a[0]), abs(b[1] - a[1]), 1.0))
-        return inside
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        px, py = x.reshape(1, -1), y.reshape(1, -1)
+        # (edges, points): inside when on the left of every edge, within tolerance
+        left = self._ex * (py - self._ay) - self._ey * (px - self._ax) >= self._edge_min
+        return left.all(axis=0).reshape(x.shape)
 
     def edge_distance(self, x: float, y: float) -> float:
         """Smallest distance from an interior point to the boundary lines."""
-        dists = []
-        for a, b in zip(self._v, np.roll(self._v, -1, axis=0)):
-            e = b - a
-            n = np.hypot(e[0], e[1])
-            dists.append(((e[0] * (y - a[1]) - e[1] * (x - a[0])) / n))
-        return float(min(dists))
+        dists = (self._ex * (y - self._ay) - self._ey * (x - self._ax)) / self._edge_len
+        return float(min(dists[:, 0].tolist()))
 
     def sample_uniform(self, count: int, rng: np.random.Generator) -> np.ndarray:
         xmin, xmax, ymin, ymax = self.bounding_box
@@ -253,9 +264,15 @@ class ConvexPolygon:
 Region = Union[Rectangle, Circle, ConvexPolygon]
 
 
+def _next(rows: np.ndarray) -> np.ndarray:
+    """Each row's successor, the last followed by the first: ``np.roll``
+    by -1 on the first axis, for a fraction of its cost."""
+    return np.concatenate([rows[1:], rows[:1]])
+
+
 def _signed_area(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    nxt = _next(v)
+    return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
 
 
 class Gaussian:
@@ -343,6 +360,28 @@ def _blocked(n_shapes: int, means: np.ndarray, step: int,
     return np.clip(out, 0.0, 1.0)
 
 
+def _circle_rows(o: np.ndarray, r: np.ndarray, frame: tuple) -> tuple:
+    """The circle rule's rows in three classes, from the cut table's inputs
+    alone.  ``o`` holds each row's circle centre minus kernel mean in the
+    principal frame, shape (rows, 2), and ``r`` its radius, shape
+    (rows, 1).  Returns ``x_q`` = (x_band - ox) / r and ``y_cos`` =
+    |y_lim -+ oy| / r, each (rows, 2), and the masks of the whole rows and
+    of the rows beyond the band; every other row is cut by the band."""
+    _, _, _, x_band, x_lim, y_lim, _, _ = frame
+    ox, oy = o[:, :1], o[:, 1:]
+    x_q = (x_band - ox) / r
+    y_cos = np.abs(y_lim + _PM * oy) / r
+    dist = np.abs(o)
+    clear = dist - r  # how far the circle's nearest point lies along each axis
+    # inside the x-band, no chord end crossing the y-band, and live at the
+    # half-circle's midpoint 0.0: |ox| < x_lim, oy + r > -y_lim and
+    # oy - r < y_lim, the last two being |oy| - r < y_lim
+    whole = ((x_q[:, 0] <= -1.0) & (x_q[:, 1] >= 1.0) & (y_cos.min(axis=1) >= 1.0)
+             & (dist[:, 0] < x_lim) & (clear[:, 1] < y_lim))
+    beyond = (clear - _BAND_SLACK * (dist + r) > np.array([x_lim, y_lim])).any(axis=1)
+    return x_q, y_cos, whole, beyond
+
+
 def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> np.ndarray:
     """Gaussian masses of circles, given as rows of (cx, cy, radius), under
     the kernel N(mean, cov) for every row of ``means``.
@@ -359,27 +398,45 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> 
     limits and the kernel's normalizing constant) comes from the kernel's
     ``frame``.
 
-    A row whose circle lies inside the band has one live sub-interval,
-    the whole half-circle: centre exactly 0.0 and half-width exactly
-    pi/2, so its angles are always 0.0 + (pi/2) x for the nodes x.  In a
-    call of more than one row, such rows take sin and cos from
-    ``_half_circle_nodes``, computed once by the same ufuncs from the
-    same angles, so the values carry the same bits.  The nodes are
-    exactly antisymmetric and cos is exactly even, so node n - 1 - i has
-    node i's chord and the chord's y-mass is computed for the first half
-    of the nodes and mirrored.  Every other row, and a call of one row,
-    takes sin, cos and ``ndtr`` at each node; each row's sum is formed
-    alike either way, so no mass changes by a bit.
+    ``_circle_rows`` sorts the rows into three classes from the cut
+    table's inputs x_q = (x_band - ox) / r and y_cos = |y_lim -+ oy| / r,
+    before any inverse sine or cosine:
+
+    * Whole rows: x_q[0] <= -1, x_q[1] >= 1, neither y_cos below 1, and
+      the half-circle live at its midpoint 0.0 by the cut table's test.
+      Their one live sub-interval is the whole half-circle, centre
+      exactly 0.0 and half-width exactly pi/2, so their angles are
+      always 0.0 + (pi/2) x for the nodes x.  They take sin and cos from
+      ``_half_circle_nodes``, computed once by the same ufuncs from the
+      same angles, so the values carry the same bits.  The nodes are
+      exactly antisymmetric and cos is exactly even, so node n - 1 - i
+      has node i's chord, and the chord's y-mass is computed for the
+      first half of the nodes and mirrored.
+    * Rows beyond the band: the circle's nearest point clears it,
+      |ox| - r > x_lim or |oy| - r > y_lim, by a slack of
+      ``_BAND_SLACK`` (|ox| + r), or (|oy| + r) on y.  Each sub-interval
+      midpoint of the cut table lies on the circle, and r sin and r cos
+      round to at most r, so the table's test finds none live and the
+      mass is exactly +0.0.  The slack keeps rows that clear the band by
+      no more than a few roundings on the cut path; it scales with the
+      circle's own size and distance, which set that rounding, and not
+      only with the band, which a 10^6 km circle around a 0.2 km kernel
+      dwarfs.
+    * Every other row is cut by the band: it alone builds the cut table,
+      sorts it and integrates each live sub-interval node by node.  A row
+      that the table leaves whole in another way (a chord end exactly on
+      the band, y_cos == 0) stays on this path, whose sin and cos have
+      the tables' bits.
+
+    Each row's sum is formed alike on either path, so no mass changes by
+    a bit.
     """
     from scipy.special import ndtr
     gl_x, gl_w = _gauss_legendre()
-    rot, sx, sy, x_band, x_lim, y_lim, y_low, norm = kernel.frame
+    frame = kernel.frame
+    rot, sx, sy, x_band, x_lim, y_lim, y_low, norm = frame
     # 8 cut points per row bound 7 sub-intervals of _GL_NODES nodes
     step = max(1, _EVAL_CHUNK // (7 * _GL_NODES))
-
-    def nodes(centre: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        theta = centre + half * gl_x
-        return np.sin(theta), np.cos(theta)
 
     def integrand(ox, oy, r, sin, cos, mirrored: bool) -> np.ndarray:
         """The integrand at each row's nodes: the x-kernel times the
@@ -394,22 +451,16 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> 
             y_mass = ndtr((oy + chord) / sy) - ndtr((oy - chord) / sy)
         return np.exp(-0.5 * (x / sx) ** 2) / norm * y_mass * chord
 
-    def block(shapes: slice, m: np.ndarray) -> np.ndarray:
-        c = circles[shapes]
-        # circle centre relative to each kernel mean, in the principal
-        # frame, one row per (circle, mean) pair
-        o = (c[:, None, :2] - m).reshape(-1, 2) @ rot
-        r = c[:, 2:] if len(m) == 1 else np.repeat(c[:, 2:], len(m), axis=0)
-        ox, oy = o[:, :1], o[:, 1:]
-        # the cut table: the half-circle's ends, where x crosses the band
-        # edges, and where a chord end does (cos(theta) above 1 has no
-        # crossing, and the cut falls on the end).  The inverse sines and
-        # cosines go to fresh arrays first: numpy may take another loop,
-        # with other rounding, for a strided output.
-        cuts = np.empty((len(o), 8))
+    def cut_masses(ox, oy, r, x_q, y_cos) -> np.ndarray:
+        """The masses of rows cut by the band, through the cut table."""
+        # the half-circle's ends, where x crosses the band edges, and where
+        # a chord end does (cos(theta) above 1 has no crossing, and the
+        # cut falls on the end).  The inverse sines and cosines go to fresh
+        # arrays first: numpy may take another loop, with other rounding,
+        # for a strided output.
+        cuts = np.empty((len(ox), 8))
         cuts[:, :2] = _HALF_TURN
-        cuts[:, 2:4] = np.arcsin(np.minimum(np.maximum((x_band - ox) / r, -1.0), 1.0))
-        y_cos = np.abs(y_lim + _PM * oy) / r
+        cuts[:, 2:4] = np.arcsin(np.minimum(np.maximum(x_q, -1.0), 1.0))
         cuts[:, 4:6] = np.arccos(np.minimum(y_cos, 1.0))
         cuts[:, 4:6][~(y_cos < 1.0)] = 0.5 * np.pi
         np.negative(cuts[:, 4:6], out=cuts[:, 6:])
@@ -420,32 +471,31 @@ def _circle_masses(circles: np.ndarray, means: np.ndarray, kernel: Gaussian) -> 
         live = ((hi > lo) & (np.abs(ox + r * np.sin(mid)) < x_lim)
                 & (oy + chord_mid > y_low) & (oy - chord_mid < y_lim))
         k, j = np.nonzero(live)
-        if not len(k):  # every sub-interval lies outside the band
-            return np.zeros((len(c), len(m)))
         centre, half = mid[k, j, None], 0.5 * (hi - lo)[k, j, None]
-        oxk, oyk, rk = ox[k], oy[k], r[k]
-        # rows on the whole half-circle [-pi/2, pi/2] take the tables.  A
-        # call of one row keeps the per-node path: telling the row's kind
-        # costs about what the tables save on one row.
-        n_whole = 0
-        if len(k) > 1:
-            whole = (centre[:, 0] == 0.0) & (half[:, 0] == 0.5 * np.pi)
-            n_whole = np.count_nonzero(whole)
-        if n_whole == len(k):
-            f = integrand(oxk, oyk, rk, *_half_circle_nodes(), mirrored=True)
-        elif not n_whole:
-            f = integrand(oxk, oyk, rk, *nodes(centre, half), mirrored=False)
-        else:
-            f = np.empty((len(k), _GL_NODES))
-            f[whole] = integrand(oxk[whole], oyk[whole], rk[whole], *_half_circle_nodes(),
-                                 mirrored=True)
-            cut = ~whole
-            f[cut] = integrand(oxk[cut], oyk[cut], rk[cut], *nodes(centre[cut], half[cut]),
-                               mirrored=False)
+        theta = centre + half * gl_x
+        f = integrand(ox[k], oy[k], r[k], np.sin(theta), np.cos(theta), mirrored=False)
         # a sum per row, not a BLAS matrix product, whose rounding would
         # depend on how many rows share the call
-        mass = np.bincount(k, weights=np.einsum("ij,j->i", f, gl_w) * half[:, 0],
-                           minlength=len(o))
+        return np.bincount(k, weights=np.einsum("ij,j->i", f, gl_w) * half[:, 0],
+                           minlength=len(ox))
+
+    def block(shapes: slice, m: np.ndarray) -> np.ndarray:
+        c = circles[shapes]
+        # circle centre relative to each kernel mean, in the principal
+        # frame, one row per (circle, mean) pair
+        o = (c[:, None, :2] - m).reshape(-1, 2) @ rot
+        r = c[:, 2:] if len(m) == 1 else np.repeat(c[:, 2:], len(m), axis=0)
+        x_q, y_cos, whole, beyond = _circle_rows(o, r, frame)
+        mass = np.zeros(len(o))  # rows beyond the band keep +0.0
+        w = whole.nonzero()[0]
+        if len(w):  # one sub-interval, the whole half-circle: half-width pi/2
+            ow = o[w]
+            f = integrand(ow[:, :1], ow[:, 1:], r[w], *_half_circle_nodes(), mirrored=True)
+            mass[w] = np.einsum("ij,j->i", f, gl_w) * _HALF_TURN[1]
+        cut = (~(whole | beyond)).nonzero()[0]
+        if len(cut):
+            oc = o[cut]
+            mass[cut] = cut_masses(oc[:, :1], oc[:, 1:], r[cut], x_q[cut], y_cos[cut])
         return mass.reshape(len(c), len(m))
 
     return _blocked(len(circles), means, step, block)

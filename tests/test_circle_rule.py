@@ -2,11 +2,13 @@
 
 Rows whose sub-interval is the whole half-circle take the sines and
 cosines of their nodes from a table, and their chord masses for half the
-nodes, mirrored onto the other half.  The reference below is the rule
-with every row evaluated node by node; every mass must match it byte
-for byte, under numpy's default SIMD dispatch and, in a subprocess, with
-the AVX-512 targets switched off, since the two round sin and cos
-differently.
+nodes, mirrored onto the other half.  Rows beyond the kernel's band
+skip the cut table with a mass of +0.0, and only the rows that the band
+cuts build it; boundary rows pin where those classes meet.  The
+reference below is the rule with every row evaluated node by node;
+every mass must match it byte for byte, under numpy's default SIMD
+dispatch and, in a subprocess, with the AVX-512 targets switched off,
+since the two round sin and cos differently.
 """
 
 import os
@@ -104,7 +106,26 @@ def _cases(seed, count):
 
 
 def _kinds():
-    return dict.fromkeys(["x_cut", "y_cut", "dead", "whole", "part"], 0)
+    """Counts of the reference's row kinds and sub-intervals, and of the
+    rule's three row classes: whole, beyond the band and cut by it."""
+    return dict.fromkeys(["x_cut", "y_cut", "dead", "whole", "part",
+                          "whole_rows", "beyond_rows", "cut_rows"], 0)
+
+
+def _row_classes(circles, means, kernel):
+    """The rule's class masks of every (circle, mean) row, in the rule's
+    row order."""
+    o = (circles[:, None, :2] - means).reshape(-1, 2) @ kernel.frame[0]
+    r = np.repeat(circles[:, 2:], len(means), axis=0)
+    _, _, whole, beyond = regions._circle_rows(o, r, kernel.frame)
+    return whole, beyond
+
+
+def _count_classes(kinds, circles, means, kernel):
+    whole, beyond = _row_classes(circles, means, kernel)
+    kinds["whole_rows"] += int(np.count_nonzero(whole))
+    kinds["beyond_rows"] += int(np.count_nonzero(beyond))
+    kinds["cut_rows"] += int(np.count_nonzero(~(whole | beyond)))
 
 
 def test_the_rule_has_the_per_node_bits_on_every_row_kind():
@@ -112,6 +133,7 @@ def test_the_rule_has_the_per_node_bits_on_every_row_kind():
     for cov, circles, means in _cases(1, 120):
         kernel = Gaussian(cov)
         want = reference_circle_masses(circles, means, kernel, kinds)
+        _count_classes(kinds, circles, means, kernel)
         assert regions._circle_masses(circles, means, kernel).tobytes() == want.tobytes()
         # one circle at a time, and one (circle, mean) pair at a time
         for i in range(len(circles)):
@@ -182,6 +204,89 @@ def test_half_circle_nodes_are_mirror_symmetric():
     assert not sin.flags.writeable and not cos.flags.writeable
 
 
+def _boundary_cases():
+    """(covariance, rows) with rows (ox, oy, r) on the edges of the
+    rule's row classes, in the kernel's principal frame."""
+    # x_lim = 2 and y_lim = 4 exactly, with the axes in either order
+    for cov in (np.diag([0.0625, 0.25]), np.diag([0.25, 0.0625])):
+        yield cov, [
+            # tangent to a band edge from inside: x_q or y_cos exactly +-1
+            (0.0, 0.0, 2.0), (1.0, 0.0, 1.0), (-1.0, 0.0, 1.0), (0.0, 3.0, 1.0),
+            (0.0, -3.0, 1.0), (1.0, 3.0, 1.0), (0.0, 3.5, 2.0), (0.0, 0.0, 4.0),
+            # tangent from outside
+            (3.0, 0.0, 1.0), (-3.0, 0.0, 1.0), (0.0, 5.0, 1.0), (0.0, -5.0, 1.0),
+            (3.0, 5.0, 1.0),
+            # the centre on the y-band's edge: y_cos == 0
+            (0.0, 4.0, 1.0), (0.0, -4.0, 1.0), (0.0, 4.0, 10.0), (1.5, -4.0, 0.5),
+            (2.0, 4.0, 1.0),
+            # beyond the band, and kernels 10^6 km away
+            (3.5, 0.0, 1.0), (0.0, -6.0, 1.0), (-1e6, 0.0, 10.0), (0.0, 1e6, 10.0),
+            (7e5, -7e5, 10.0),
+        ]
+    # a 10^6 km circle with a kernel of SD 0.2 km just outside its rim,
+    # clearing the band by `gap` (overlapping it when negative), or just
+    # inside it; x_lim = y_lim = 1.6
+    r, lim = 1e6, 1.6
+    rows = [(0.0, 0.0, r)]
+    for gap in (-1e-3, -1e-7, 0.0, 1e-9, 1e-7, 1e-6, 1e-3, 0.5):
+        for sign in (1.0, -1.0):
+            rows += [(sign * (r + lim + gap), 0.0, r), (0.0, sign * (r + lim + gap), r),
+                     (sign * (r - lim - gap), 0.0, r), (0.0, sign * (r - lim - gap), r)]
+    yield 0.04 * np.eye(2), rows
+
+
+def _boundary_circles(cov, rows):
+    """The kernel and the circles whose rows about a mean at the origin
+    are ``rows``; exact, as the principal frame permutes the axes."""
+    kernel = Gaussian(cov)
+    rot = kernel.frame[0]
+    assert np.array_equal(np.abs(rot), np.abs(rot).round())
+    o = np.array(rows)
+    return kernel, np.column_stack([o[:, :2] @ rot.T, o[:, 2]])
+
+
+def test_boundary_rows_have_the_per_node_bits():
+    kinds = _kinds()
+    origin = np.zeros((1, 2))
+    means = np.array([[0.0, 0.0], [1.0, -1.0], [-2.5, 0.5], [1e6, 0.0]])
+    for cov, rows in _boundary_cases():
+        kernel, circles = _boundary_circles(cov, rows)
+        got = regions._circle_masses(circles, origin, kernel)
+        assert got.tobytes() == reference_circle_masses(circles, origin, kernel,
+                                                        kinds).tobytes()
+        for i in range(len(circles)):  # one row per call
+            one = circles[i:i + 1]
+            assert regions._circle_masses(one, origin, kernel).tobytes() \
+                == reference_circle_masses(one, origin, kernel).tobytes()
+        assert regions._circle_masses(circles, means, kernel).tobytes() \
+            == reference_circle_masses(circles, means, kernel).tobytes()
+        _count_classes(kinds, circles, origin, kernel)
+        # rows beyond the band have a mass of exactly +0.0
+        whole, beyond = _row_classes(circles, origin, kernel)
+        assert got[beyond].tobytes() == np.zeros(np.count_nonzero(beyond)).tobytes()
+        if cov[0, 0] != cov[1, 1]:  # the rows that sit exactly on a band edge
+            o = np.array(rows)
+            x_q, y_cos, _, _ = regions._circle_rows(o[:, :2], o[:, 2:], kernel.frame)
+            assert (x_q == -1.0).any() and (x_q == 1.0).any()
+            assert (y_cos == 1.0).any() and (y_cos == 0.0).any()
+    assert min(kinds.values()) > 0, kinds
+
+
+def test_a_row_is_beyond_the_band_only_by_a_slack_of_its_own_size():
+    """A 10^6 km circle whose rim clears a 0.2 km kernel's band by 1e-6 km
+    is cut by the band: the slack scales with the circle's distance and
+    radius, not with the band alone.  Clearing it by 1e-3 km is beyond."""
+    origin = np.zeros((1, 2))
+    for gap, beyond in [(0.0, False), (1e-9, False), (1e-7, False), (1e-6, False),
+                        (1e-3, True), (0.5, True)]:
+        kernel, circles = _boundary_circles(0.04 * np.eye(2), [
+            (1e6 + 1.6 + gap, 0.0, 1e6), (0.0, -(1e6 + 1.6 + gap), 1e6)])
+        _, got = _row_classes(circles, origin, kernel)
+        assert got.tolist() == [beyond, beyond], gap
+        assert regions._circle_masses(circles, origin, kernel).tobytes() \
+            == reference_circle_masses(circles, origin, kernel).tobytes()
+
+
 def _avx512_targets():
     """numpy's AVX-512 dispatch targets that this machine runs."""
     try:
@@ -204,7 +309,9 @@ def test_the_bits_hold_with_avx512_dispatch_switched_off():
              "t.test_half_circle_nodes_are_mirror_symmetric()\n"
              "t.test_the_rule_has_the_per_node_bits_on_every_row_kind()\n"
              "t.test_gaussian_masses_have_the_per_node_bits()\n"
-             "t.test_density_masses_and_integrate_have_the_per_node_bits()\n")
+             "t.test_density_masses_and_integrate_have_the_per_node_bits()\n"
+             "t.test_boundary_rows_have_the_per_node_bits()\n"
+             "t.test_a_row_is_beyond_the_band_only_by_a_slack_of_its_own_size()\n")
     done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True,
                           text=True, cwd=Path(__file__).resolve().parent.parent)
     assert done.returncode == 0, done.stderr

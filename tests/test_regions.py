@@ -9,7 +9,7 @@ from scipy.special import chndtr, ndtr
 from quakeval import (Circle, ConvexPolygon, KernelDensity, ParametricDensity,
                       Rectangle, ValidationError, contains_region, region_from_dict,
                       spatial)
-from quakeval.regions import Gaussian
+from quakeval.regions import _EDGE_TOL, Gaussian
 
 
 def test_rectangle_basics():
@@ -85,6 +85,95 @@ def test_polygon_contains_matches_rectangle():
     y = rng.uniform(1.0, 5.0, 500)
     assert np.array_equal(np.asarray(rect.contains(x, y)),
                           np.asarray(poly.contains(x, y)))
+
+
+def _contains_by_edge(polygon, x, y):
+    """``ConvexPolygon.contains`` as one test per edge in a loop: the
+    oracle for the broadcast form."""
+    v = polygon.vertices
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    tol = _EDGE_TOL * max(float(v[:, 0].max()) - float(v[:, 0].min()),
+                          float(v[:, 1].max()) - float(v[:, 1].min()), 1.0)
+    inside = np.ones(np.broadcast(x, y).shape, dtype=bool)
+    for a, b in zip(v, np.roll(v, -1, axis=0)):
+        inside &= ((b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0])
+                   >= -tol * max(abs(b[0] - a[0]), abs(b[1] - a[1]), 1.0))
+    return inside
+
+
+def _edge_distance_by_edge(polygon, x, y):
+    dists = []
+    for a, b in zip(polygon.vertices, np.roll(polygon.vertices, -1, axis=0)):
+        e = b - a
+        dists.append((e[0] * (y - a[1]) - e[1] * (x - a[0])) / np.hypot(e[0], e[1]))
+    return float(min(dists))
+
+
+def _random_convex_vertices(rng):
+    """Vertices of a convex polygon, counterclockwise or clockwise: on a
+    circle at sorted random angles, or a lattice polygon whose edges pass
+    through points with integer coordinates."""
+    if rng.random() < 0.5:
+        k = int(rng.integers(3, 13))
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, k))
+        scale = 10.0 ** rng.uniform(-2.0, 4.0)
+        v = scale * np.column_stack([np.cos(angles), np.sin(angles)]) \
+            + rng.uniform(-1e3, 1e3, 2)
+    else:
+        lattice = [[0, 0], [6, 0], [9, 3], [9, 6], [3, 9], [0, 6]]
+        v = np.array(lattice[:int(rng.integers(3, 7))], dtype=float) * rng.integers(1, 4) \
+            + rng.integers(-50, 50, 2)
+    return v[::-1] if rng.random() < 0.5 else v
+
+
+def _probe_points(polygon, rng):
+    """Points on the vertices and edges, within a few edge tolerances of
+    them on either side, and scattered over the bounding box."""
+    v = polygon.vertices
+    nxt = np.roll(v, -1, axis=0)
+    t = np.concatenate([[0.0, 0.5, 1.0 / 3.0], rng.random(5)])
+    on_edges = (v[:, None] + t[:, None] * (nxt - v)[:, None]).reshape(-1, 2)
+    lattice = []  # the points with integer coordinates on a lattice polygon's edges
+    if np.array_equal(v, v.round()):
+        for a, b in zip(v, nxt):
+            steps = math.gcd(*(b - a).astype(int))
+            lattice += [a + j * (b - a) / steps for j in range(steps + 1)]
+    exact = np.concatenate([on_edges, np.reshape(lattice, (-1, 2))])
+    xmin, xmax, ymin, ymax = polygon.bounding_box
+    tol = _EDGE_TOL * max(xmax - xmin, ymax - ymin, 1.0)
+    near = exact[:, None] + tol * rng.choice([-3.0, -1.0, -0.5, 0.5, 1.0, 3.0], (len(exact), 4, 2))
+    nudged = np.nextafter(exact, exact + rng.choice([-1.0, 1.0], exact.shape))
+    scattered = np.column_stack([rng.uniform(xmin - 1.0, xmax + 1.0, 200),
+                                 rng.uniform(ymin - 1.0, ymax + 1.0, 200)])
+    return np.concatenate([exact, near.reshape(-1, 2), nudged, scattered])
+
+
+def test_polygon_tests_have_the_bits_of_the_per_edge_loop():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        v = _random_convex_vertices(rng)
+        polygon = ConvexPolygon(v)
+        assert polygon.area == abs(0.5 * float(np.sum(
+            v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])))
+        assert polygon.bounding_box == (float(v[:, 0].min()), float(v[:, 0].max()),
+                                        float(v[:, 1].min()), float(v[:, 1].max()))
+        pts = _probe_points(polygon, rng)
+        x, y = pts[:, 0], pts[:, 1]
+        got = polygon.contains(x, y)
+        assert got.dtype == bool and np.array_equal(got, _contains_by_edge(polygon, x, y))
+        # other shapes: one point, a grid, and a column against one y
+        grid = np.array(polygon.contains(x[:12].reshape(3, 4), y[:12].reshape(3, 4)))
+        assert grid.shape == (3, 4)
+        assert np.array_equal(grid, _contains_by_edge(polygon, x[:12].reshape(3, 4),
+                                                      y[:12].reshape(3, 4)))
+        one = polygon.contains(x[0], y[0])
+        assert np.shape(one) == () and bool(one) == bool(_contains_by_edge(polygon, x[0], y[0]))
+        assert np.array_equal(polygon.contains(x, y[0]), _contains_by_edge(polygon, x, y[0]))
+        assert polygon.contains(x[:0], y[:0]).shape == (0,)
+        for px, py in pts[got][:20].tolist():
+            assert np.float64(polygon.edge_distance(px, py)).tobytes() \
+                == np.float64(_edge_distance_by_edge(polygon, px, py)).tobytes()
 
 
 def test_sample_uniform_stays_inside():
