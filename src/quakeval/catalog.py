@@ -25,8 +25,9 @@ in range, with no quote, NUL or over-long line: a block the row reader
 would read without a fault, to the same values.  From the first block
 that is not kept, the csv module's row reader reads the rest of the
 file as it always has, so it is the row reader that names every fault,
-with the same message and row.  Both fill one pair of arrays that
-grows in place.
+with the same message and row.  It converts each row, cell by cell
+with ``float``, as it reads it; its rows are joined to the kept blocks
+once the file is read.
 
 Earthquake CSV: header ``time,x,y,magnitude``; times in days since the
 record start, positions in km.  The reader rejects a row with the
@@ -77,7 +78,8 @@ _TIME_SLACK = 1e-9  # days an event time may stray outside the record
 # overlap sweep.  2^13 pairs keep each temporary at 64 KB: 2^15 raised
 # peak memory by 2.6 MB on 8k events and saved no time.
 _PAIR_BLOCK = 1 << 13
-# Data rows converted to floats at once by ``_read_floats``.
+# Lines the bulk pass of ``_read_floats`` converts to floats at once, and
+# rows its row reader converts before it moves them into one array.
 _ROW_BLOCK = 1024
 
 
@@ -319,64 +321,37 @@ def _read_floats(table: "_Table", header: Sequence[str], nonnegative: Sequence[s
     the row reader would give the same rows without a fault.  From the
     first block it declines, the row reader reads the rest, each row
     passed through ``checked_rows`` (an iterator of rows to an iterator
-    of rows) when given.  It maps ``float`` over ``_ROW_BLOCK`` rows of
-    cells at a time, tested as an array; a block at fault is read again
-    cell by cell, so the first row at fault in file order is named (even
+    of rows) when given.  Each row is converted as it comes, cell by
+    cell in column order and then tested for sign, before the next row
+    is read; so the first row at fault in file order is named (even
     before a later row the reader rejects), and in it the first cell.
-    Both passes fill one pair of arrays that grows in place, so no parse
-    holds its values twice.
+    Every ``_ROW_BLOCK`` converted rows become one array, so a parse
+    holds at most that many rows as Python floats, and the arrays of
+    both passes are joined once at the end.
     """
     width, signed = len(header), [header.index(c) for c in nonnegative]
-    rows, values = np.empty(0, dtype=int), np.empty((0, width))
-    n = 0
-
-    def add(numbers: np.ndarray, floats: np.ndarray) -> None:
-        nonlocal n
-        if n + len(numbers) > len(rows):  # no views of the arrays are alive here
-            size = max(n + len(numbers), 2 * len(rows))
-            rows.resize(size, refcheck=False)
-            values.resize((size, width), refcheck=False)
-        rows[n:n + len(numbers)] = numbers
-        values[n:n + len(numbers)] = floats
-        n += len(numbers)
-
+    parts = []  # (row numbers, floats) of each kept block and each block of read rows
     for lines in table.line_blocks():
         floats = _bulk_block(lines, width, signed)
         if floats is None:
             table.unread(lines)
             break
-        add(np.arange(table.row + 1, table.row + 1 + len(lines)), floats)
+        parts.append((np.arange(table.row + 1, table.row + 1 + len(lines)), floats))
         table.row += len(lines)
-
-    block = []
-
-    def convert() -> None:
-        cells = [c for _, row in block for c in row]
-        try:
-            floats = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, width)
-        except ValueError:
-            floats = None
-        if floats is None or not np.isfinite(floats).all() or (floats[:, signed] < 0).any():
-            for i, row in block:
-                parsed = [_parse_float(v, i, c) for v, c in zip(row, header)]
-                for k in signed:
-                    if parsed[k] < 0:
-                        raise ValidationError(f"row {i}: negative {header[k]} {parsed[k]:g}")
-        add(np.fromiter((i for i, _ in block), int, len(block)), floats)
-        block.clear()
-
-    try:
-        for item in iter(table) if checked_rows is None else checked_rows(iter(table)):
-            block.append(item)
-            if len(block) == _ROW_BLOCK:
-                convert()
-    except (ValidationError, csv.Error):
-        convert()  # an earlier row at fault comes first
-        raise
-    convert()
-    rows.resize(n, refcheck=False)
-    values.resize((n, width), refcheck=False)
-    return rows, values
+    numbers, cells = [], []
+    for i, row in iter(table) if checked_rows is None else checked_rows(iter(table)):
+        parsed = [_parse_float(v, i, c) for v, c in zip(row, header)]
+        for k in signed:
+            if parsed[k] < 0:
+                raise ValidationError(f"row {i}: negative {header[k]} {parsed[k]:g}")
+        numbers.append(i)
+        cells.extend(parsed)
+        if len(numbers) == _ROW_BLOCK:
+            parts.append((np.array(numbers, dtype=int), np.array(cells).reshape(-1, width)))
+            numbers, cells = [], []
+    parts.append((np.array(numbers, dtype=int), np.array(cells, dtype=float).reshape(-1, width)))
+    rows, values = zip(*parts)
+    return np.concatenate(rows), np.concatenate(values)
 
 
 def _bulk_block(lines: list[str], width: int, signed: Sequence[int]) -> np.ndarray | None:

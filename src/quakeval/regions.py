@@ -180,7 +180,7 @@ class ConvexPolygon:
     """
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        v = np.array(vertices, dtype=float)  # a copy: the caller's array stays writeable
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise ValidationError("polygon needs at least 3 (x, y) vertices")
         if not np.isfinite(v).all():
@@ -232,8 +232,12 @@ class ConvexPolygon:
         return left.all(axis=0).reshape(x.shape)
 
     def edge_distance(self, x: float, y: float) -> float:
-        """Smallest distance from an interior point to the boundary lines."""
-        dists = (self._ex * (y - self._ay) - self._ey * (x - self._ax)) / self._edge_len
+        """Smallest distance from an interior point to the boundary lines
+        of the edges of nonzero length (a repeated vertex makes an edge of
+        length zero, which bounds nothing)."""
+        e = np.flatnonzero(self._edge_len[:, 0])
+        dists = (self._ex[e] * (y - self._ay[e]) - self._ey[e] * (x - self._ax[e])) \
+            / self._edge_len[e]
         return float(min(dists[:, 0].tolist()))
 
     def sample_uniform(self, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,13 +7,15 @@ built from numbers, blanks, words and stray quotes.  Valid earthquake
 tables must parse to the columns ``float`` gives cell by cell, valid
 prediction tables to what a per-row reader gives, and a single planted
 fault must be named by its row.  The numpy bulk pass must read every
-table, valid or not, as the csv row reader alone does.  Examples are
+table, valid or not, as the csv row reader alone does, and the row
+reader as the block-converting reader it replaced.  Examples are
 derandomized so every run checks the same cases.
 """
 
 import csv
 import io
 import json
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 from unittest import mock
 
@@ -293,25 +295,32 @@ PREDICTION_FAULTS = {
 }
 
 
-@PROPERTY
-@given(rows=prediction_rows.filter(len), fault=st.sampled_from(sorted(PREDICTION_FAULTS)),
-       data=st.data())
-def test_a_planted_prediction_fault_is_named_by_its_row(workdir, rows, fault, data):
-    (part, cells), message = PREDICTION_FAULTS[fault]
-    k = data.draw(st.integers(0, len(rows) - 1), label="row index")
-    path = workdir / "faulty-predictions.csv"
-    numbers, sidecar = write_predictions(path, rows)
+def plant_prediction_fault(path, number: int, sidecar: dict, fault: str) -> None:
+    """Replace cells of data row ``number`` of a prediction CSV written by
+    ``write_predictions`` with those of a ``PREDICTION_FAULTS`` entry."""
+    (part, cells), _ = PREDICTION_FAULTS[fault]
     lines = path.read_text(encoding="utf-8").splitlines()
-    row = lines[numbers[k]].split(",")
+    row = lines[number].split(",")
     if part == "window":
         row[:3] = cells
     elif part == "region":
         row[3:6] = cells
-        sidecar.pop(str(numbers[k] - 1), None)
+        sidecar.pop(str(number - 1), None)
     else:
         row[6] = cells
-    lines[numbers[k]] = ",".join(row)
+    lines[number] = ",".join(row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@PROPERTY
+@given(rows=prediction_rows.filter(len), fault=st.sampled_from(sorted(PREDICTION_FAULTS)),
+       data=st.data())
+def test_a_planted_prediction_fault_is_named_by_its_row(workdir, rows, fault, data):
+    _, message = PREDICTION_FAULTS[fault]
+    k = data.draw(st.integers(0, len(rows) - 1), label="row index")
+    path = workdir / "faulty-predictions.csv"
+    numbers, sidecar = write_predictions(path, rows)
+    plant_prediction_fault(path, numbers[k], sidecar, fault)
     with pytest.raises(ValidationError) as caught:
         parse_predictions(path, polygons=sidecar)
     assert str(caught.value).startswith(f"{path}: row {numbers[k]}: {message}")
@@ -445,6 +454,113 @@ def test_prediction_tables_read_alike_in_bulk_and_by_row(workdir, rows, block):
     assert got.regions == want.regions
 
 
+def reference_read_floats(table, header, nonnegative=(), checked_rows=None):
+    """The row tier of ``_read_floats`` as it was before each row was
+    converted as it is read: ``_ROW_BLOCK`` rows of cells mapped through
+    ``float`` at once and tested as an array, a block at fault read again
+    cell by cell, and the pending block converted before an error of the
+    reader is raised."""
+    width, signed = len(header), [header.index(c) for c in nonnegative]
+    rows, values, block = [], [], []
+
+    def convert() -> None:
+        cells = [c for _, row in block for c in row]
+        try:
+            floats = np.fromiter(map(float, cells), float, len(cells)).reshape(-1, width)
+        except ValueError:
+            floats = None
+        if floats is None or not np.isfinite(floats).all() or (floats[:, signed] < 0).any():
+            for i, row in block:
+                parsed = [catalog_module._parse_float(v, i, c) for v, c in zip(row, header)]
+                for k in signed:
+                    if parsed[k] < 0:
+                        raise ValidationError(f"row {i}: negative {header[k]} {parsed[k]:g}")
+        rows.extend(i for i, _ in block)
+        values.append(floats)
+        block.clear()
+
+    try:
+        for item in iter(table) if checked_rows is None else checked_rows(iter(table)):
+            block.append(item)
+            if len(block) == catalog_module._ROW_BLOCK:
+                convert()
+    except (ValidationError, csv.Error):
+        convert()  # an earlier row at fault comes first
+        raise
+    convert()
+    return np.array(rows, dtype=int), np.concatenate(values)
+
+
+reference_reader = mock.patch.object(catalog_module, "_read_floats", reference_read_floats)
+
+
+@PROPERTY
+@given(lines=table_lines, data=st.data(), **table_layout)
+def test_the_row_reader_reads_as_the_block_converting_reader(workdir, lines, data, newline,
+                                                             bom, block, limit):
+    """With the bulk pass declining every block, rows converted one at a
+    time give the block-converting reader's rows and values bit for bit,
+    or its error message, whatever the block size.  A minus sign put
+    before some lines makes negative times common among the faults."""
+    minus = data.draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)),
+                      label="minus signs")
+    lines = ["-" + line if sign else line for sign, line in zip(minus, lines)]
+    path = workdir / "row-reader.csv"
+    _write_lines(path, lines, newline, bom)
+    with field_limit(limit), mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        got = read_floats(path, bulk=False)
+        with reference_reader:
+            want = read_floats(path, bulk=False)
+    assert got == want
+
+
+@PROPERTY
+@given(rows=prediction_rows.filter(len), data=st.data(), block=st.sampled_from([1, 2, 1024]))
+def test_prediction_rows_read_as_the_block_converting_reader(workdir, rows, data, block):
+    """Up to two planted prediction faults, with every row read by the row
+    reader: the region test of a row comes before its conversion, and
+    both before the next row's, as in the block-converting reader."""
+    path = workdir / "row-predictions.csv"
+    numbers, sidecar = write_predictions(path, rows)
+    for _ in range(data.draw(st.integers(0, 2), label="faults")):
+        k = data.draw(st.integers(0, len(rows) - 1), label="row index")
+        fault = data.draw(st.sampled_from(sorted(PREDICTION_FAULTS)), label="fault")
+        plant_prediction_fault(path, numbers[k], sidecar, fault)
+    parse = lambda p: parse_predictions(p, polygons=sidecar)  # noqa: E731
+    with mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        got = _parse_outcome(parse, path, False)
+        with reference_reader:
+            want = _parse_outcome(parse, path, False)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for column in ("issue_times", "window_starts", "window_ends", "min_magnitudes",
+                   "region_index"):
+        assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+    assert got.regions == want.regions
+
+
+def test_the_row_reader_holds_one_block_of_rows_as_python_floats():
+    """A quote in row 1 sends 20k rows to the row reader, whose converted
+    rows become an array every block: the parse peaks below three times
+    the arrays it returns, where 20k rows held as lists of Python floats
+    would take more than seven times."""
+    lines = ['"0.5",1.5,2.5,4.5'] + [f"{k}.25,{k % 97}.5,{k % 89}.75,4.5"
+                                     for k in range(1, 20000)]
+    text = io.StringIO("\n".join([",".join(EARTHQUAKE_HEADER), *lines]) + "\n")
+    tracemalloc.start()
+    try:
+        with catalog_module._read_table(text, EARTHQUAKE_HEADER) as table:
+            start = tracemalloc.get_traced_memory()[0]
+            rows, values = catalog_module._read_floats(table, EARTHQUAKE_HEADER, ("time",))
+            peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert rows.tolist() == list(range(1, 20001)) and values[1:, 0].tolist() == \
+        [k + 0.25 for k in range(1, 20000)]
+    assert peak < 3 * (rows.nbytes + values.nbytes)
+
+
 ODD_LINES = ['"1",2,3,4', '1,2,3,"4"', '1,"2\n3",4,5', "1\x00,2,3,4", "-1,2,3,4",
              "-0.0,2,3,4", "1,2,3", "1,2,3,4,5", f"{LONG},1,1,1", "", "  ", ",,,",
              "1_0,1,1,1", "١,1,1,1", "nan,1,1,1", "1,inf,1,1", "1,2,3,4\r"]
@@ -490,3 +606,24 @@ def test_an_undecodable_byte_deep_in_a_file_reads_alike(workdir, before):
         assert "text is not UTF-8" in got
     elif before:  # the row the chunk starts in may come before the error or not
         assert got.endswith(f"row {inside - before}: expected 4 fields, got 3")
+
+
+@pytest.mark.parametrize("block", [1, 64, 1024])
+@pytest.mark.parametrize("before", [1, 10, 40])
+def test_a_bad_number_before_an_undecodable_chunk_is_named_first(workdir, before, block):
+    """The rows decoded before a chunk that is not UTF-8 lie wholly before
+    the bad byte, and each is converted as it is read: a bad number among
+    them is the first fault in file order, and it is named whatever the
+    block size."""
+    lines = [f"{k}.25,{k % 97}.5,{k % 89}.75,4.5" for k in range(1, 2000)]
+    head = ",".join(EARTHQUAKE_HEADER) + "\n"
+    ends = np.cumsum([len(head)] + [len(line) + 1 for line in lines])  # after each row
+    inside = int(np.searchsorted(ends, 4 * CHUNK, side="right"))  # the row the chunk starts in
+    lines[inside - before - 1] = "1,x,3,4"
+    data = (head + "\n".join(lines) + "\n").encode()
+    bad = int(ends[inside + 3])
+    path = workdir / "number-then-undecodable.csv"
+    path.write_bytes(data[:bad] + b"\xff" + data[bad:])
+    with mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        assert read_floats(path, bulk=True) == read_floats(path, bulk=False) \
+            == f"{path}: row {inside - before}: x value 'x' is not a number"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,46 @@ def test_polygon_tests_have_the_bits_of_the_per_edge_loop():
         for px, py in pts[got][:20].tolist():
             assert np.float64(polygon.edge_distance(px, py)).tobytes() \
                 == np.float64(_edge_distance_by_edge(polygon, px, py)).tobytes()
+
+
+@pytest.mark.parametrize("vertices", [[[0, 0], [4, 0], [0, 4]],
+                                      [[0, 0], [0, 4], [4, 0]],
+                                      [[100, 100], [600, 150], [700, 500], [300, 700], [50, 400]]],
+                         ids=["counterclockwise", "clockwise", "pentagon"])
+def test_a_repeated_vertex_changes_no_containment_or_edge_distance(vertices):
+    """A vertex given twice makes an edge of length zero, which bounds
+    nothing: circle containment and edge distances are those of the
+    polygon without the repeat, to the bit, and nothing warns."""
+    plain = ConvexPolygon(vertices)
+    xmin, xmax, ymin, ymax = plain.bounding_box
+    size = max(xmax - xmin, ymax - ymin)
+    rng = np.random.default_rng(25)
+    points = plain.vertices.mean(axis=0) + rng.uniform(-0.5, 0.5, (40, 2)) * size
+    points = points[plain.contains(points[:, 0], points[:, 1])]
+    assert len(points) > 5
+    circles = [Circle(x, y, r) for x, y in points.tolist()
+               for r in (0.01 * size, plain.edge_distance(x, y), 0.3 * size)]
+    for k in range(len(vertices)):
+        repeated = ConvexPolygon([*vertices[:k + 1], *vertices[k:]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, y in points.tolist():
+                assert np.float64(repeated.edge_distance(x, y)).tobytes() \
+                    == np.float64(plain.edge_distance(x, y)).tobytes()
+            for circle in circles:
+                assert contains_region(repeated, circle) == contains_region(plain, circle)
+        assert any(contains_region(repeated, c) for c in circles)
+
+
+def test_a_polygon_copies_the_callers_vertex_array():
+    a = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
+    polygon = ConvexPolygon(a)
+    assert a.flags.writeable
+    a[0, 0] = 5.0
+    a[2] = [-3.0, 9.0]
+    assert polygon.vertices.tolist() == [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]
+    assert polygon.area == 8.0
+    assert polygon.contains([1.0, 3.5, 0.1], [1.0, 1.0, 3.8]).tolist() == [True, False, True]
 
 
 def test_sample_uniform_stays_inside():
