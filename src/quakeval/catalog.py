@@ -22,12 +22,12 @@ Data rows are converted in blocks of ``_ROW_BLOCK`` lines by numpy's
 text reader, which parses numbers with the routine ``float`` uses.  A
 block is kept only when it holds one row of finite numbers per line,
 in range, with no quote, NUL or over-long line: a block the row reader
-would read without a fault, to the same values.  From the first block
-that is not kept, the csv module's row reader reads the rest of the
-file as it always has, so it is the row reader that names every fault,
-with the same message and row.  It converts each row, cell by cell
-with ``float``, as it reads it; its rows are joined to the kept blocks
-once the file is read.
+would read without a fault, to the same values.  The csv module's row
+reader reads each block that is not kept, and the record a quote leaves
+open at its last line, then the bulk pass goes on; so it is the row
+reader that names every fault, with the same message and row.  It
+converts each row, cell by cell with ``float``, as it reads it; its
+rows are joined to the kept blocks once the file is read.
 
 Earthquake CSV: header ``time,x,y,magnitude``; times in days since the
 record start, positions in km.  The reader rejects a row with the
@@ -318,38 +318,37 @@ def _read_floats(table: "_Table", header: Sequence[str], nonnegative: Sequence[s
 
     The bulk pass converts blocks of ``_ROW_BLOCK`` lines with numpy's
     text reader, and keeps a block only where ``_bulk_block`` shows that
-    the row reader would give the same rows without a fault.  From the
-    first block it declines, the row reader reads the rest, each row
-    passed through ``checked_rows`` (an iterator of rows to an iterator
-    of rows) when given.  Each row is converted as it comes, cell by
-    cell in column order and then tested for sign, before the next row
-    is read; so the first row at fault in file order is named (even
-    before a later row the reader rejects), and in it the first cell.
-    Every ``_ROW_BLOCK`` converted rows become one array, so a parse
-    holds at most that many rows as Python floats, and the arrays of
-    both passes are joined once at the end.
+    the row reader would give the same rows without a fault.  The row
+    reader reads each block it declines, each row passed through
+    ``checked_rows`` (an iterator of rows to an iterator of rows) when
+    given, and the bulk pass resumes after it.  Each row is converted as
+    it comes, cell by cell in column order and then tested for sign,
+    before the next row is read; so the first row at fault in file order
+    is named (even before a later row the reader rejects), and in it the
+    first cell.  The rows of a declined block become one array, so a
+    parse holds at most ``_ROW_BLOCK`` rows as Python floats, and the
+    arrays of both passes are joined once at the end.
     """
     width, signed = len(header), [header.index(c) for c in nonnegative]
-    parts = []  # (row numbers, floats) of each kept block and each block of read rows
+    # (row numbers, floats) of each block in file order
+    parts = [(np.empty(0, dtype=int), np.empty((0, width)))]
     for lines in table.line_blocks():
         floats = _bulk_block(lines, width, signed)
-        if floats is None:
-            table.unread(lines)
-            break
-        parts.append((np.arange(table.row + 1, table.row + 1 + len(lines)), floats))
-        table.row += len(lines)
-    numbers, cells = [], []
-    for i, row in iter(table) if checked_rows is None else checked_rows(iter(table)):
-        parsed = [_parse_float(v, i, c) for v, c in zip(row, header)]
-        for k in signed:
-            if parsed[k] < 0:
-                raise ValidationError(f"row {i}: negative {header[k]} {parsed[k]:g}")
-        numbers.append(i)
-        cells.extend(parsed)
-        if len(numbers) == _ROW_BLOCK:
-            parts.append((np.array(numbers, dtype=int), np.array(cells).reshape(-1, width)))
-            numbers, cells = [], []
-    parts.append((np.array(numbers, dtype=int), np.array(cells, dtype=float).reshape(-1, width)))
+        if floats is not None:
+            parts.append((np.arange(table.row + 1, table.row + 1 + len(lines)), floats))
+            table.row += len(lines)
+            continue
+        numbers, cells = [], []
+        rows = table.block_rows(lines)
+        for i, row in rows if checked_rows is None else checked_rows(rows):
+            parsed = [_parse_float(v, i, c) for v, c in zip(row, header)]
+            for k in signed:
+                if parsed[k] < 0:
+                    raise ValidationError(f"row {i}: negative {header[k]} {parsed[k]:g}")
+            numbers.append(i)
+            cells.extend(parsed)
+        parts.append((np.array(numbers, dtype=int),
+                      np.array(cells, dtype=float).reshape(-1, width)))
     rows, values = zip(*parts)
     return np.concatenate(rows), np.concatenate(values)
 
@@ -387,10 +386,10 @@ class _Table:
 
     ``line_blocks`` hands out up to ``_ROW_BLOCK`` raw lines at a time
     for the bulk pass, which numbers the rows of a block it keeps (one
-    per line) and gives back, with ``unread``, the one it declines.
-    Iterating reads the rest as (row number, cells) with the csv module:
-    a row whose cells are all blank is skipped, and any other must have
-    one field per header column.
+    per line) and has the csv module read, with ``block_rows``, the one
+    it declines.  Iterating reads every row left the same way.  A row
+    whose cells are all blank is skipped, and any other must have one
+    field per header column.
     """
 
     def __init__(self, lines: Iterator[str], width: int):
@@ -402,24 +401,34 @@ class _Table:
             try:
                 lines.extend(itertools.islice(self._lines, _ROW_BLOCK))
             except UnicodeDecodeError as exc:
+                if not lines:
+                    raise
                 # the row reader raises it where it would have: after these lines
-                self._lines = itertools.chain(lines, _raising(exc))
-                return
+                self._lines = _raising(exc)
             if not lines:
                 return
             yield lines
 
-    def unread(self, lines: list[str]) -> None:
-        self._lines = itertools.chain(lines, self._lines)
+    def block_rows(self, lines: list[str]) -> Iterator[tuple[int, list[str]]]:
+        """The (row number, cells) of a block of lines, and of the lines
+        after it that a quoted record open at its last line runs on to."""
+        return self._rows(itertools.chain(lines, self._lines), len(lines))
 
     def __iter__(self) -> Iterator[tuple[int, list[str]]]:
-        for self.row, cells in enumerate(csv.reader(self._lines), start=self.row + 1):
-            if not "".join(cells).strip():
-                continue
-            if len(cells) != self._width:
-                raise ValidationError(
-                    f"row {self.row}: expected {self._width} fields, got {len(cells)}")
-            yield self.row, cells
+        return self._rows(self._lines, math.inf)
+
+    def _rows(self, lines: Iterator[str], stop: float) -> Iterator[tuple[int, list[str]]]:
+        """Rows read by the csv module until ``stop`` lines are used up."""
+        reader = csv.reader(lines)
+        for cells in reader:
+            self.row += 1
+            if "".join(cells).strip():
+                if len(cells) != self._width:
+                    raise ValidationError(
+                        f"row {self.row}: expected {self._width} fields, got {len(cells)}")
+                yield self.row, cells
+            if reader.line_num >= stop:
+                return
 
 
 def _raising(exc: Exception) -> Iterator[str]:
@@ -582,15 +591,13 @@ def parse_predictions(source, polygons=None) -> PredictionSet:
         for i, cells in table:
             present = [bool(c.strip()) for c in cells[3:6]]
             if not all(present):
-                for cell, column in zip(cells[:3], PREDICTION_HEADER):
-                    _parse_float(cell, i, column)  # a window cell at fault comes first
-                if any(present):
+                if any(present) or i - 1 not in poly_map:
+                    for cell, column in zip(cells[:3], PREDICTION_HEADER):
+                        _parse_float(cell, i, column)  # a window cell at fault comes first
                     raise ValidationError(
-                        f"row {i}: cx, cy and radius must be all present or all empty")
-                if i - 1 not in poly_map:
-                    raise ValidationError(
-                        f"row {i}: no circle columns and no polygon sidecar entry "
-                        f"for row index {i - 1}")
+                        f"row {i}: cx, cy and radius must be all present or all empty"
+                        if any(present) else f"row {i}: no circle columns and no polygon "
+                        f"sidecar entry for row index {i - 1}")
                 cells = [*cells[:3], "0", "0", "0", cells[6]]
                 row_polygons[i] = poly_map[i - 1]
             yield i, cells

@@ -29,12 +29,15 @@ not depend on how narrow the kernel is against the shape:
   (mass exactly 0, once it clears the band by a slack of 1e-12 of its
   distance plus radius) or cut by it (the only rows that find their cut
   points).  The classes only skip work whose outcome is already known,
-  so no mass moves by a bit.
+  so no mass moves by a bit.  The nodes and weights are a table in this
+  module, scipy 1.17.1's ``roots_legendre(64)`` to the bit; its nodes
+  are exactly antisymmetric and its weights exactly symmetric.
 
 Masses are clipped to [0, 1].  Tests check them against ``ndtr``
 products, ``chndtr`` and ``dblquad`` on the whitened problem.  The
-rules import ``scipy.special`` when first called, so that commands
-which compute no mass never load it.
+rules import ``scipy.special`` (for ``ndtr`` and ``owens_t`` only) when
+first called, so that commands which compute no mass never load it, and
+no mass loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -64,9 +67,41 @@ _MIRROR = np.concatenate([np.arange(_GL_NODES // 2), np.arange(_GL_NODES // 2)[:
 @functools.cache
 def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the ``_GL_NODES``-point rule on [-1, 1],
-    read-only since every call shares them."""
-    from scipy.special import roots_legendre
-    nodes, weights = roots_legendre(_GL_NODES)
+    ascending and read-only since every call shares them.
+
+    The table holds the negative half, bit for bit as
+    ``scipy.special.roots_legendre(64)`` gives it with scipy 1.17.1 (the
+    release the golden files were made with); the positive half is its
+    exact negation in reverse and the weights mirror exactly, as they do
+    in scipy's output.  So the rule's bits no longer depend on the
+    installed scipy, and no mass loads ``scipy.linalg``, which scipy's
+    eigensolver for the roots needs."""
+    half_nodes = np.array([
+        -0.9993050417357721, -0.9963401167719552, -0.9910133714767442,
+        -0.983336253884626, -0.973326827789911, -0.9610087996520538,
+        -0.9464113748584028, -0.9295691721319396, -0.9105221370785028,
+        -0.889315445995114, -0.8659993981540928, -0.8406292962525803,
+        -0.8132653151227975, -0.7839723589433414, -0.7528199072605319,
+        -0.7198818501716109, -0.6852363130542332, -0.6489654712546573,
+        -0.6111553551723933, -0.5718956462026339, -0.5312794640198946,
+        -0.489403145707053, -0.44636601725346414, -0.4022701579639916,
+        -0.3572201583376682, -0.3113228719902109, -0.2646871622087674,
+        -0.21742364374000703, -0.16964442042399283, -0.12146281929612057,
+        -0.07299312178779904, -0.024350292663424374])
+    half_weights = np.array([
+        0.0017832807216983117, 0.00414703326056217, 0.006504457968979944,
+        0.0088467598263635, 0.011168139460130634, 0.013463047896718951,
+        0.01572603047602452, 0.017951715775696795, 0.020134823153530858,
+        0.022270173808383264, 0.024352702568710975, 0.026377469715054197,
+        0.028339672614259487, 0.03023465707240202, 0.03205792835485138,
+        0.03380516183714145, 0.03547221325688267, 0.03705512854024002,
+        0.038550153178615335, 0.03995374113272041, 0.041262563242623396,
+        0.04247351512365328, 0.04358372452932331, 0.04459055816375637,
+        0.04549162792741793, 0.046284796581314465, 0.046968182816209854,
+        0.047540165714830315, 0.04799938859645825, 0.048344762234802906,
+        0.04857546744150339, 0.04869095700913963])
+    nodes = np.concatenate([half_nodes, -half_nodes[::-1]])
+    weights = half_weights[_MIRROR]
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

@@ -8,7 +8,8 @@ cuts build it; boundary rows pin where those classes meet.  The
 reference below is the rule with every row evaluated node by node;
 every mass must match it byte for byte, under numpy's default SIMD
 dispatch and, in a subprocess, with the AVX-512 targets switched off,
-since the two round sin and cos differently.
+since the two round sin and cos differently.  The rule's checked-in
+Gauss-Legendre table is checked against scipy's and numpy's rules.
 """
 
 import os
@@ -202,6 +203,41 @@ def test_half_circle_nodes_are_mirror_symmetric():
     assert np.sin(theta).tobytes() == np.tile(sin, (3, 1)).tobytes()
     assert np.cos(theta).tobytes() == np.tile(cos, (3, 1)).tobytes()
     assert not sin.flags.writeable and not cos.flags.writeable
+
+
+def test_the_gauss_legendre_table_is_exactly_mirrored_and_read_only():
+    gl_x, gl_w = _gauss_legendre()
+    assert gl_x.shape == gl_w.shape == (regions._GL_NODES,)
+    assert gl_x.dtype == gl_w.dtype == np.float64
+    assert np.all(np.diff(gl_x) > 0) and -1.0 < gl_x[0] and gl_x[-1] < 1.0
+    assert (-gl_x[::-1]).tobytes() == gl_x.tobytes()
+    assert gl_w[::-1].tobytes() == gl_w.tobytes()
+    assert np.all(gl_w > 0)
+    again_x, again_w = _gauss_legendre()
+    assert again_x is gl_x and again_w is gl_w
+    for table in (gl_x, gl_w):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+
+def test_the_gauss_legendre_table_agrees_with_scipy_and_numpy():
+    """The table is scipy's rule; numpy's ``leggauss`` computes it
+    another way, and its weights are off by about 2.3e-12 relative."""
+    from scipy.special import roots_legendre
+    gl_x, gl_w = _gauss_legendre()
+    for nodes, weights, weight_tol in (
+            (*roots_legendre(regions._GL_NODES), 1e-15),
+            (*np.polynomial.legendre.leggauss(regions._GL_NODES), 1e-11)):
+        assert np.max(np.abs(gl_x - nodes)) <= 2e-16
+        assert np.max(np.abs(gl_w - weights) / weights) <= weight_tol
+
+
+def test_the_gauss_legendre_rule_integrates_every_even_power_to_126():
+    """A 64-node rule is exact to degree 127."""
+    gl_x, gl_w = _gauss_legendre()
+    for k in range(0, 2 * regions._GL_NODES, 2):
+        assert abs(np.sum(gl_w * gl_x ** k) - 2.0 / (k + 1)) <= 1e-14, k
 
 
 def _boundary_cases():

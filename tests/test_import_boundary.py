@@ -1,7 +1,8 @@
 """Which parts of scipy each command loads, each run in a fresh
 interpreter: importing the package loads none, the commands that compute
 nothing with scipy load none, and only the parametric fit loads
-``scipy.optimize``.  In every run a forked simulation worker refuses a
+``scipy.optimize`` and, through it, ``scipy.linalg``: region masses need
+only ``scipy.special``.  In every run a forked simulation worker refuses a
 task that imports any module its parent had not loaded, so neither the
 deferred scipy imports nor numpy's lazy ``numpy.random`` run first in a
 worker."""
@@ -76,6 +77,11 @@ def _commands(name: str, out: Path) -> list:
                                            *PREDICTIONS]],
         "significance": [["significance", *CATALOG, *PREDICTIONS, "--exact"]],
         "enhancement": [["enhancement", *CATALOG, *PREDICTIONS]],
+        # under a kernel model every alarm circle goes through the circle rule
+        "significance-kde": [fit_kde, ["significance", *CATALOG, *PREDICTIONS, "--exact",
+                                       "--density", model]],
+        "enhancement-kde": [fit_kde, ["enhancement", *CATALOG, *PREDICTIONS,
+                                      "--density", model]],
         # the kernel model's masses need scipy.special before the fork
         "simulate-significance": [fit_kde, [*simulate, "--mode", "significance",
                                             "--n-events", "100", *PREDICTIONS,
@@ -97,12 +103,18 @@ def test_commands_that_compute_without_scipy_load_none(name, tmp_path):
     assert _scipy_modules(*_commands(name, tmp_path)) == []
 
 
-@pytest.mark.parametrize("name", ["significance", "enhancement", "simulate-significance",
+@pytest.mark.parametrize("name", ["significance", "enhancement", "significance-kde",
+                                  "enhancement-kde", "simulate-significance",
                                   "fit-density-kde"])
 def test_only_the_parametric_fit_loads_scipy_optimize(name, tmp_path):
+    """Nor does any other command load ``scipy.linalg``: region masses
+    need only ``scipy.special``."""
     modules = _scipy_modules(*_commands(name, tmp_path))
-    assert [m for m in modules if m.startswith("scipy.optimize")] == []
+    assert [m for m in modules if m.startswith(("scipy.optimize", "scipy.linalg"))] == []
+    if name in ("significance-kde", "enhancement-kde", "simulate-significance"):
+        assert "scipy.special" in modules  # the circle rule ran
 
 
 def test_the_parametric_fit_loads_scipy_optimize(tmp_path):
-    assert "scipy.optimize" in _scipy_modules(*_commands("fit-density-parametric", tmp_path))
+    modules = _scipy_modules(*_commands("fit-density-parametric", tmp_path))
+    assert "scipy.optimize" in modules and "scipy.linalg" in modules

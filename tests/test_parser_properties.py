@@ -280,6 +280,24 @@ def test_valid_prediction_tables_match_the_row_reader(workdir, rows, block):
     assert list(got) == want
 
 
+def test_each_cell_of_a_valid_prediction_table_is_parsed_once(workdir, monkeypatch):
+    """75 circle rows and 75 polygon rows, all read by the row reader: one
+    ``_parse_float`` call per cell, the window cells of a polygon row
+    included."""
+    rows = [(None, (str(k), "1", "2"), k % 3 if k % 2 else CIRCLES[k % 4], "4.5")
+            for k in range(150)]
+    path = workdir / "parsed-once.csv"
+    _, sidecar = write_predictions(path, rows)
+    calls = []
+    parse_float = catalog_module._parse_float
+    monkeypatch.setattr(catalog_module, "_parse_float",
+                        lambda *args: calls.append(args) or parse_float(*args))
+    ps = parse_predictions(path, polygons=sidecar)
+    assert sum(isinstance(ps.regions[k], ConvexPolygon) for k in ps.region_index) == 75
+    assert len(calls) == 7 * 150
+    assert len(set((row, column) for _, row, column in calls)) == len(calls)
+
+
 # fault -> (replace the row's window, region or magnitude cells, the error after "row N: ")
 PREDICTION_FAULTS = {
     "bad number": (("window", ("0", "1..2", "3")), "window_start value '1..2' is not a number"),
@@ -426,6 +444,56 @@ def test_faults_around_a_block_boundary_are_named_alike(workdir, good, data, blo
         assert read_floats(path, bulk=True) == read_floats(path, bulk=False)
 
 
+# lines the bulk pass declines and the row reader reads without a fault; the
+# last two are quoted records that run on to a second line
+declined_line = st.sampled_from(['"1",2,3,4', '1,2,3,"4"', "", " , ,\t, ", "1_0,1,1,1",
+                                 "١,1,1,1", '"\n1",2,3,4', '1,2,3,"4\n"'])
+
+
+@PROPERTY
+@given(data=st.data(), block=st.sampled_from([1, 2, 3]),
+       newline=st.sampled_from(["\n", "\r\n"]))
+def test_the_bulk_pass_resumes_after_a_declined_block(workdir, data, block, newline):
+    """Blocks of valid rows that the bulk pass keeps, around blocks it
+    declines, some of them ending in a quoted record that runs on past
+    the block's last line, and now and then a fault anywhere: rows and
+    values, or the message, are those of the row reader alone, and of
+    the block-converting reader, which reads the whole file by row."""
+    declined = data.draw(st.lists(st.booleans(), max_size=6), label="declined blocks")
+    lines = []
+    for decline in [False, True, *declined, False]:
+        rows = data.draw(st.lists(valid_line, min_size=block, max_size=block), label="block")
+        if decline:
+            k = data.draw(st.integers(0, block - 1), label="declined row")
+            rows[k] = data.draw(declined_line, label="declined line")
+        lines += rows
+    if data.draw(st.booleans(), label="fault"):
+        lines.insert(data.draw(st.integers(0, len(lines)), label="position"),
+                     data.draw(odd_line, label="fault line"))
+    path = workdir / "resume.csv"
+    _write_lines(path, lines, newline, False)
+    with mock.patch.object(catalog_module, "_ROW_BLOCK", block):
+        got = read_floats(path, bulk=True)
+        assert got == read_floats(path, bulk=False)
+        with reference_reader:
+            assert got == read_floats(path, bulk=True)
+
+
+def test_one_quoted_cell_sends_only_its_block_to_the_row_reader(monkeypatch):
+    lines = ['"0.5",1.5,2.5,4.5'] + [f"{k}.25,{k % 97}.5,{k % 89}.75,4.5"
+                                     for k in range(1, 3000)]
+    text = io.StringIO("\n".join([",".join(EARTHQUAKE_HEADER), *lines]) + "\n")
+    calls = []
+    parse_float = catalog_module._parse_float
+    monkeypatch.setattr(catalog_module, "_parse_float",
+                        lambda *args: calls.append(args[1]) or parse_float(*args))
+    with catalog_module._read_table(text, EARTHQUAKE_HEADER) as table:
+        rows, values = catalog_module._read_floats(table, EARTHQUAKE_HEADER, ("time",))
+    assert sorted(set(calls)) == list(range(1, catalog_module._ROW_BLOCK + 1))
+    assert rows.tolist() == list(range(1, 3001))
+    assert values[1:, 0].tolist() == [k + 0.25 for k in range(1, 3000)]
+
+
 def _parse_outcome(parse, path, bulk: bool):
     declined = mock.patch.object(catalog_module, "_bulk_block", lambda *args: None)
     try:
@@ -541,11 +609,11 @@ def test_prediction_rows_read_as_the_block_converting_reader(workdir, rows, data
 
 
 def test_the_row_reader_holds_one_block_of_rows_as_python_floats():
-    """A quote in row 1 sends 20k rows to the row reader, whose converted
-    rows become an array every block: the parse peaks below three times
-    the arrays it returns, where 20k rows held as lists of Python floats
-    would take more than seven times."""
-    lines = ['"0.5",1.5,2.5,4.5'] + [f"{k}.25,{k % 97}.5,{k % 89}.75,4.5"
+    """A quote in every row sends 20k rows to the row reader, whose
+    converted rows become an array every block: the parse peaks below
+    three times the arrays it returns, where 20k rows held as lists of
+    Python floats would take more than seven times."""
+    lines = ['"0.5",1.5,2.5,4.5'] + [f'"{k}.25",{k % 97}.5,{k % 89}.75,4.5'
                                      for k in range(1, 20000)]
     text = io.StringIO("\n".join([",".join(EARTHQUAKE_HEADER), *lines]) + "\n")
     tracemalloc.start()
